@@ -3,10 +3,11 @@
 
 Runs a small kernel x controller x engine matrix end-to-end and
 records best-of-N wall-clock and simulated cycles per second for each
-point.  Every controller is measured on both the shared discrete-event
-simulation kernel (``engine=event``) and the vectorized batch fast
-path (``engine=batch``); each point records which engine produced it
-so ``bench_compare.py`` never diffs one engine against the other.  CI
+point.  Every controller is measured on the shared discrete-event
+simulation kernel (``engine=event``); the SMC is also measured on the
+vectorized batch fast path (``engine=batch``), which only it has.
+Each point records which engine produced it so ``bench_compare.py``
+never diffs one engine against the other.  CI
 runs this after the pytest-benchmark suites and uploads the JSON as a
 PR artifact so the cost of the simulation substrate is tracked over
 time.
@@ -26,7 +27,7 @@ import subprocess
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.cache.controller import CachedNaturalOrderController
 from repro.core.l2stream import L2StreamingController
@@ -39,7 +40,6 @@ from repro.sim.batch import run_smc_batch
 from repro.sim.engine import run_smc
 
 BENCH_KERNELS = ("copy", "daxpy", "vaxpy")
-BENCH_ENGINES = ("event", "batch")
 
 
 def _git_sha() -> str:
@@ -54,49 +54,58 @@ def _git_sha() -> str:
     return out.stdout.strip() or "unknown"
 
 
-def _controllers(length: int) -> Dict[str, Callable[[str, str, str], object]]:
-    """Map controller name -> callable(kernel, org, engine) -> result."""
+def _controllers(
+    length: int,
+) -> Dict[Tuple[str, str], Callable[[str, str], object]]:
+    """Map (controller, engine) -> callable(kernel, org) -> result.
 
-    def smc(kernel: str, org: str, engine: str):
+    Only the SMC has a batch engine; every other controller runs on
+    the event kernel and gets a single ``event`` entry.
+    """
+
+    def smc_event(kernel: str, org: str):
         config = getattr(MemorySystemConfig, org)()
-        if engine == "batch":
-            return run_smc_batch(
-                KERNELS[kernel], config, length=length, fifo_depth=64
-            )
         system = build_smc_system(
             KERNELS[kernel], config, length=length, fifo_depth=64
         )
         return run_smc(system)
 
-    def natural(kernel: str, org: str, engine: str):
-        controller = NaturalOrderController(getattr(MemorySystemConfig, org)())
-        return controller.run(KERNELS[kernel], length=length, engine=engine)
+    def smc_batch(kernel: str, org: str):
+        config = getattr(MemorySystemConfig, org)()
+        return run_smc_batch(
+            KERNELS[kernel], config, length=length, fifo_depth=64
+        )
 
-    def cached(kernel: str, org: str, engine: str):
+    def natural(kernel: str, org: str):
+        controller = NaturalOrderController(getattr(MemorySystemConfig, org)())
+        return controller.run(KERNELS[kernel], length=length)
+
+    def cached(kernel: str, org: str):
         controller = CachedNaturalOrderController(
             getattr(MemorySystemConfig, org)()
         )
-        return controller.run(KERNELS[kernel], length=length, engine=engine)
+        return controller.run(KERNELS[kernel], length=length)
 
-    def l2stream(kernel: str, org: str, engine: str):
+    def l2stream(kernel: str, org: str):
         controller = L2StreamingController(getattr(MemorySystemConfig, org)())
-        return controller.run(KERNELS[kernel], length=length, engine=engine)
+        return controller.run(KERNELS[kernel], length=length)
 
-    def random(kernel: str, org: str, engine: str):
+    def random(kernel: str, org: str):
         driver = RandomAccessDriver(getattr(MemorySystemConfig, org)())
-        return driver.run(length, seed=7, engine=engine)
+        return driver.run(length, seed=7)
 
     return {
-        "smc": smc,
-        "natural-order": natural,
-        "cached-natural-order": cached,
-        "l2-streaming": l2stream,
-        "random-access": random,
+        ("smc", "event"): smc_event,
+        ("smc", "batch"): smc_batch,
+        ("natural-order", "event"): natural,
+        ("cached-natural-order", "event"): cached,
+        ("l2-streaming", "event"): l2stream,
+        ("random-access", "event"): random,
     }
 
 
 def bench_point(
-    run: Callable[[str, str, str], object],
+    run: Callable[[str, str], object],
     kernel: str,
     org: str,
     engine: str,
@@ -106,7 +115,7 @@ def bench_point(
     cycles = 0
     for _ in range(repeats):
         start = time.perf_counter()
-        result = run(kernel, org, engine)
+        result = run(kernel, org)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         cycles = result.cycles
@@ -129,20 +138,17 @@ def main(argv: List[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     results = []
-    for name, run in _controllers(args.length).items():
+    for (name, engine), run in _controllers(args.length).items():
         for kernel in BENCH_KERNELS:
             for org in ("cli", "pi"):
-                for engine in BENCH_ENGINES:
-                    point = bench_point(
-                        run, kernel, org, engine, args.repeats
-                    )
-                    point["controller"] = name
-                    results.append(point)
-                    print(
-                        f"{name:22s} {kernel:8s} {org:4s} {engine:6s} "
-                        f"{point['wall_ms']:9.3f} ms  "
-                        f"{point['cycles_per_second']:>10,} cyc/s"
-                    )
+                point = bench_point(run, kernel, org, engine, args.repeats)
+                point["controller"] = name
+                results.append(point)
+                print(
+                    f"{name:22s} {kernel:8s} {org:4s} {engine:6s} "
+                    f"{point['wall_ms']:9.3f} ms  "
+                    f"{point['cycles_per_second']:>10,} cyc/s"
+                )
 
     report = {
         "schema": "bench-core/3",

@@ -16,11 +16,12 @@ Quickstart::
                    length=1024, fifo_depth=64)
     print(simulate(spec).percent_of_peak)
 
-:func:`simulate` is the single simulation entry point.  It runs on a
-selectable engine — ``engine="event"`` (the discrete-event kernel),
-``"batch"`` (a bit-identical vectorized fast path), or ``"auto"`` (the
-default: batch whenever the spec supports it).  ``simulate_kernel`` is
-a deprecated keyword-style wrapper kept for existing callers.
+``simulate(RunSpec(...))`` is the one front door for SMC runs.  It
+runs on a selectable engine — ``engine="event"`` (the discrete-event
+kernel), ``"batch"`` (a bit-identical vectorized fast path), or
+``"auto"`` (the default: batch whenever the spec supports it).
+Engines apply to SMC runs only: the baseline controllers always run
+on the event kernel.
 """
 
 from repro.cache import (
@@ -114,7 +115,6 @@ from repro.sim import (
     run_smc,
     set_default_engine,
     simulate,
-    simulate_kernel,
     sweep,
 )
 from repro.exec import ResultCache, execution, run_specs
@@ -200,7 +200,6 @@ __all__ = [
     "run_smc",
     "set_default_engine",
     "simulate",
-    "simulate_kernel",
     "sweep",
     "ResultCache",
     "execution",

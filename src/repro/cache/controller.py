@@ -74,7 +74,6 @@ class CachedNaturalOrderController(NaturalOrderController):
         descriptors: Optional[List[StreamDescriptor]] = None,
         flush_at_end: bool = True,
         dense: bool = False,
-        engine: str = "auto",
     ) -> SimulationResult:
         """Execute one kernel through the cache.
 
@@ -89,8 +88,6 @@ class CachedNaturalOrderController(NaturalOrderController):
                 computation would observe it).
             dense: Visit every cycle in the simulation kernel instead
                 of skipping to the next transaction start.
-            engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :func:`repro.sim.batch.resolve_controller_engine`).
 
         Returns:
             The result; ``bank_conflicts`` reports device-level
@@ -125,7 +122,6 @@ class CachedNaturalOrderController(NaturalOrderController):
             label=f"{self.POLICY}: kernel={kernel.name}, "
             f"org={self.config.describe()}",
             dense=dense,
-            engine=engine,
         )
 
         useful = len(descriptors) * length * ELEMENT_BYTES

@@ -121,7 +121,6 @@ class L2StreamingController:
         alignment: Alignment = Alignment.STAGGERED,
         max_cycles: Optional[int] = None,
         dense: bool = False,
-        engine: str = "auto",
     ) -> SimulationResult:
         """Execute one kernel, streaming through the L2.
 
@@ -134,8 +133,6 @@ class L2StreamingController:
                 from the line traffic.
             dense: Visit every cycle in the simulation kernel instead
                 of skipping ahead while waiting on line arrivals.
-            engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :func:`repro.sim.batch.resolve_controller_engine`).
 
         Returns:
             The result; ``fifo_depth`` reports the prefetch window and
@@ -179,37 +176,22 @@ class L2StreamingController:
         if max_cycles is None:
             max_cycles = 20_000 + 200 * sum(len(s.lines) for s in streams)
 
-        # Imported here, not at module scope: repro.sim.batch pulls in
-        # repro.core for plan building, so a top-level import would be
-        # circular whichever package loads first.
-        from repro.sim.batch import lean_run, resolve_controller_engine
-
-        resolved = resolve_controller_engine(engine, dense=dense)
         run_state = _L2Run(self, streams, length)
         components: List[Component] = []
         if self.refresh:
             refresh_engine = RefreshEngine(self.device)
             components.append(BackgroundComponent(refresh_engine))
         components.append(run_state)
-        label = (
-            f"l2-streaming: kernel={kernel.name}, "
-            f"org={self.config.describe()}"
-        )
-        if resolved == "batch":
-            final_cycle = lean_run(
-                components,
-                done=lambda: run_state.finished,
-                max_cycles=max_cycles,
-                label=label,
-            )
-        else:
-            final_cycle = Simulation(
-                components,
-                done=lambda sim: run_state.finished,
-                max_cycles=max_cycles,
-                label=label,
-                dense=dense,
-            ).run()
+        final_cycle = Simulation(
+            components,
+            done=lambda sim: run_state.finished,
+            max_cycles=max_cycles,
+            label=(
+                f"l2-streaming: kernel={kernel.name}, "
+                f"org={self.config.describe()}"
+            ),
+            dense=dense,
+        ).run()
         if self.refresh:
             self.refreshes_issued = refresh_engine.refreshes_issued
 

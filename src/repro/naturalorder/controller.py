@@ -43,7 +43,6 @@ from repro.obs.telemetry import finalize_telemetry
 from repro.rdram.channel import make_memory
 from repro.rdram.packets import BusDirection
 from repro.rdram.refresh import RefreshEngine
-from repro.sim.batch import lean_run, resolve_controller_engine
 from repro.sim.kernel import (
     BackgroundComponent,
     Component,
@@ -101,20 +100,13 @@ class NaturalOrderController:
         label: str,
         dense: bool,
         obs: Optional[Instrumentation] = None,
-        engine: str = "auto",
     ) -> None:
         """Drive ``steps`` through the shared simulation kernel.
 
         One kernel run per controller run: an optional background
         refresh engine plus a :class:`TransactionPump` resuming the
-        controller's transaction generator at each start cycle.  With
-        ``engine="batch"`` (or ``"auto"`` when neither instrumentation
-        nor dense mode is requested) the same components run on the
-        heapless :func:`repro.sim.batch.lean_run` loop instead.
+        controller's transaction generator at each start cycle.
         """
-        resolved = resolve_controller_engine(
-            engine, instrumented=obs is not None, dense=dense
-        )
         self.refreshes_issued = 0
         components: List[Component] = []
         if self.refresh:
@@ -125,23 +117,14 @@ class NaturalOrderController:
             on_attach_obs=lambda o: setattr(self.device, "obs", o),
         )
         components.append(pump)
-        max_cycles = 20_000 + 500 * max(max_steps, 1)
-        if resolved == "batch":
-            lean_run(
-                components,
-                done=lambda: pump.done,
-                max_cycles=max_cycles,
-                label=label,
-            )
-        else:
-            Simulation(
-                components,
-                done=lambda sim: pump.done,
-                max_cycles=max_cycles,
-                label=label,
-                dense=dense,
-                obs=obs,
-            ).run()
+        Simulation(
+            components,
+            done=lambda sim: pump.done,
+            max_cycles=20_000 + 500 * max(max_steps, 1),
+            label=label,
+            dense=dense,
+            obs=obs,
+        ).run()
         if self.refresh:
             self.refreshes_issued = refresh_engine.refreshes_issued
 
@@ -154,7 +137,6 @@ class NaturalOrderController:
         descriptors: Optional[List[StreamDescriptor]] = None,
         obs: Optional[Instrumentation] = None,
         dense: bool = False,
-        engine: str = "auto",
     ) -> SimulationResult:
         """Execute one kernel and report effective bandwidth.
 
@@ -170,8 +152,6 @@ class NaturalOrderController:
             dense: Visit every cycle in the simulation kernel instead
                 of skipping to the next transaction start (the
                 property tests assert both modes agree).
-            engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :func:`repro.sim.batch.resolve_controller_engine`).
 
         Returns:
             The result; ``useful_bytes`` counts stream elements only,
@@ -203,7 +183,6 @@ class NaturalOrderController:
             f"org={self.config.describe()}",
             dense=dense,
             obs=obs,
-            engine=engine,
         )
 
         useful = len(descriptors) * length * ELEMENT_BYTES

@@ -28,7 +28,6 @@ from repro.naturalorder.controller import MAX_OUTSTANDING
 from repro.rdram.channel import make_memory
 from repro.rdram.packets import BusDirection
 from repro.rdram.refresh import RefreshEngine
-from repro.sim.batch import lean_run, resolve_controller_engine
 from repro.sim.kernel import (
     BackgroundComponent,
     Component,
@@ -80,7 +79,6 @@ class RandomAccessDriver:
         write_fraction: float = 0.0,
         seed: int = 1,
         dense: bool = False,
-        engine: str = "auto",
     ) -> SimulationResult:
         """Execute random cacheline transactions and report bandwidth.
 
@@ -90,8 +88,6 @@ class RandomAccessDriver:
             seed: PRNG seed (runs are deterministic per seed).
             dense: Visit every cycle in the simulation kernel instead
                 of skipping to the next transaction start.
-            engine: ``"event"``, ``"batch"``, or ``"auto"`` (see
-                :func:`repro.sim.batch.resolve_controller_engine`).
 
         Returns:
             A result whose ``percent_of_peak`` is the channel
@@ -110,7 +106,6 @@ class RandomAccessDriver:
             alignment="random",
             policy=f"random-q{self.queue_depth}",
         )
-        resolved = resolve_controller_engine(engine, dense=dense)
         components: List[Component] = []
         if self.refresh:
             refresh_engine = RefreshEngine(self.device)
@@ -121,23 +116,13 @@ class RandomAccessDriver:
             )
         )
         components.append(pump)
-        max_cycles = 20_000 + 500 * max(num_transactions, 1)
-        label = f"random-q{self.queue_depth}: org={self.config.describe()}"
-        if resolved == "batch":
-            lean_run(
-                components,
-                done=lambda: pump.done,
-                max_cycles=max_cycles,
-                label=label,
-            )
-        else:
-            Simulation(
-                components,
-                done=lambda sim: pump.done,
-                max_cycles=max_cycles,
-                label=label,
-                dense=dense,
-            ).run()
+        Simulation(
+            components,
+            done=lambda sim: pump.done,
+            max_cycles=20_000 + 500 * max(num_transactions, 1),
+            label=f"random-q{self.queue_depth}: org={self.config.describe()}",
+            dense=dense,
+        ).run()
         if self.refresh:
             self.refreshes_issued = refresh_engine.refreshes_issued
 

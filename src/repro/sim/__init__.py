@@ -3,7 +3,6 @@
 from repro.sim.batch import (
     ENGINES,
     batch_unsupported_reason,
-    lean_run,
     list_engines,
     run_smc_batch,
 )
@@ -28,14 +27,12 @@ from repro.sim.runner import (
     resolve_policy,
     set_default_engine,
     simulate,
-    simulate_kernel,
 )
 from repro.sim.sweep import Sweep, pivot, sweep
 
 __all__ = [
     "ENGINES",
     "batch_unsupported_reason",
-    "lean_run",
     "list_engines",
     "run_smc_batch",
     "run_smc",
@@ -59,7 +56,6 @@ __all__ = [
     "resolve_config",
     "resolve_policy",
     "simulate",
-    "simulate_kernel",
     "Sweep",
     "pivot",
     "sweep",

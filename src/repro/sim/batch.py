@@ -4,26 +4,21 @@ The event kernel (:mod:`repro.sim.kernel`) dispatches every visited
 cycle through component adapters, an event heap, and the full device
 object model — flexible, but the per-cycle dispatch overhead caps SMC
 throughput well below what large sweeps need.  This module provides a
-*batch* engine that produces bit-identical results much faster, in two
-parts:
+*batch* engine for SMC runs that produces bit-identical results much
+faster.
 
-* :func:`run_smc_batch` — a monomorphized replica of the SMC loop.
-  Each stream's access schedule is precomputed as flat arrays (with
-  numpy when available, since the address decomposition is affine in
-  the element index), and the cycle loop runs over plain integers and
-  lists: bank/bus timing resolution, the round-robin MSU decision, the
-  CPU retire step, and the optional refresh engine are all inlined.
-  Read-data arrivals are kept in a plain deque — DATA-bus packet
-  slotting makes their completion times monotonic, so no heap is
-  needed.  The loop visits exactly the cycles the event kernel's
-  skip-ahead clock visits, so every counter (including stall
-  accounting, which depends on the visit set) matches bit for bit.
-
-* :func:`lean_run` — a heapless replica of
-  :meth:`repro.sim.kernel.Simulation.run` for controllers whose
-  components never post events (the transaction-pump baselines and the
-  L2 streamer).  It drives the *same* component objects with the same
-  visit set, minus the event-scheduler and observability machinery.
+:func:`run_smc_batch` is a monomorphized replica of the SMC loop.
+Each stream's access schedule is precomputed as flat arrays (with
+numpy when available, since the address decomposition is affine in
+the element index), and the cycle loop runs over plain integers and
+lists: bank/bus timing resolution, the round-robin MSU decision, the
+CPU retire step, and the optional refresh engine are all inlined.
+Read-data arrivals are kept in a plain deque — DATA-bus packet
+slotting makes their completion times monotonic, so no heap is
+needed.  The loop visits exactly the cycles the event kernel's
+skip-ahead clock visits, so every counter (including stall
+accounting, which depends on the visit set) matches bit for bit.
+The other controllers always run on the event kernel.
 
 The batch SMC loop handles the paper's core configurations: a single
 plain RDRAM device, the round-robin policy, and plan-time page
@@ -38,7 +33,7 @@ dense-vs-skip contract that validates the event kernel itself.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
+from typing import Deque, List, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, SchedulingError, StreamError
 from repro.cpu.kernels import Kernel
@@ -53,7 +48,7 @@ from repro.rdram.bank import NEVER
 from repro.rdram.device import RdramGeometry
 from repro.rdram.refresh import DEFAULT_INTERVAL_CYCLES, RETRY_CYCLES
 from repro.rdram.timing import DATA_PACKET_BYTES
-from repro.sim.kernel import Component, ResultBuilder
+from repro.sim.kernel import ResultBuilder
 from repro.sim.results import SimulationResult
 
 try:  # numpy ships in the test/benchmark environment but is optional.
@@ -70,7 +65,7 @@ ENGINES: Registry[str] = Registry(
     sort_listing=False,
 )
 ENGINES.add("event", "the discrete-event kernel; supports every configuration")
-ENGINES.add("batch", "vectorized fast path; bit-identical, core configs only")
+ENGINES.add("batch", "vectorized SMC fast path; bit-identical, core configs only")
 ENGINES.add("auto", "batch when the configuration supports it, else event")
 
 #: Back-compat alias: ``ENGINE_DESCRIPTIONS[name]`` is the one-line
@@ -178,33 +173,6 @@ def resolve_engine(
         return "batch"
     if choice == "batch":
         raise ConfigurationError(f"engine 'batch' cannot run this spec: {reason}")
-    return "event"
-
-
-def resolve_controller_engine(
-    engine: str,
-    instrumented: bool = False,
-    dense: bool = False,
-) -> str:
-    """Resolve an engine request for a pump-style controller run.
-
-    The transaction-pump controllers support every configuration on
-    both engines (:func:`lean_run` drives the same components), so the
-    only reasons to stay on the event kernel are instrumentation and
-    dense verification mode.
-    """
-    choice = canonical_engine(engine)
-    if choice == "event":
-        return "event"
-    reason: Optional[str] = None
-    if instrumented:
-        reason = "instrumented runs need the event engine"
-    elif dense:
-        reason = "dense verification mode needs the event engine"
-    if reason is None:
-        return "batch"
-    if choice == "batch":
-        raise ConfigurationError(f"engine 'batch' cannot run this run: {reason}")
     return "event"
 
 
@@ -734,64 +702,3 @@ def run_smc_batch(
         speculative_activations=0,
         refreshes=refreshes_issued,
     )
-
-
-# ----------------------------------------------------------------------
-# the lean component loop (pump-style controllers)
-
-
-def lean_run(
-    components: Sequence[Component],
-    done: Callable[[], bool],
-    max_cycles: int,
-    label: str = "simulation",
-) -> int:
-    """Heapless replica of :meth:`repro.sim.kernel.Simulation.run`.
-
-    For component sets that never post events (the transaction-pump
-    baselines, the L2 streamer) the event scheduler is dead weight:
-    this loop drives the same component objects over the same visit
-    set with none of the dispatch machinery, so results are identical
-    by construction.  Components must not return events from ``tick``
-    and must not need instrumentation attached.
-
-    Returns:
-        The final visited cycle.
-
-    Raises:
-        SchedulingError: On watchdog expiry or deadlock (the event
-            kernel's exact messages).
-    """
-    pairs: List[Tuple[Component, bool]] = [
-        (component, bool(getattr(component, "breaks_deadlock", True)))
-        for component in components
-    ]
-    cycle = 0
-    while True:
-        for component, _ in pairs:
-            component.tick(cycle)
-        if done():
-            return cycle
-        best: Optional[int] = None
-        passive_best: Optional[int] = None
-        for component, progresses in pairs:
-            action = component.next_action_cycle
-            if action is None:
-                continue
-            if progresses:
-                if best is None or action < best:
-                    best = action
-            elif passive_best is None or action < passive_best:
-                passive_best = action
-        if best is None:
-            raise SchedulingError(
-                "deadlock: every component is blocked and no data is "
-                f"in flight ({label})"
-            )
-        if passive_best is not None and passive_best < best:
-            best = passive_best
-        cycle = best if best > cycle else cycle + 1
-        if cycle > max_cycles:
-            raise SchedulingError(
-                f"simulation exceeded {max_cycles} cycles ({label})"
-            )

@@ -104,9 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "engines, then exit")
     parser.add_argument("--engine", default="auto",
                         choices=ENGINES,
-                        help="simulation engine: the discrete-event "
+                        help="SMC simulation engine: the discrete-event "
                              "kernel, the vectorized batch fast path, "
-                             "or auto selection (default auto)")
+                             "or auto selection (default auto); "
+                             "baselines always run on the event kernel")
     parser.add_argument("--list-engines", action="store_true",
                         help="list the simulation engines, then exit")
     parser.add_argument("--baseline", default=None,
@@ -270,6 +271,12 @@ def _run(args) -> int:
             "--stats, --trace-out, --telemetry and --metrics-out are "
             "available for the SMC and the natural-order baseline only"
         )
+    if args.baseline and args.engine == "batch":
+        raise ConfigurationError(
+            "engine 'batch' is SMC-only: --baseline "
+            f"{args.baseline} runs on the event kernel (use --engine "
+            "auto or event)"
+        )
     obs = (
         Instrumentation(telemetry_window=telemetry)
         if need_obs and not obsless else None
@@ -306,7 +313,6 @@ def _run(args) -> int:
             stride=args.stride,
             alignment=Alignment(args.alignment),
             obs=obs,
-            engine=args.engine,
         )
         trace = controller.device.trace
     elif args.baseline == "cached":
@@ -318,7 +324,6 @@ def _run(args) -> int:
             length=args.length,
             stride=args.stride,
             alignment=Alignment(args.alignment),
-            engine=args.engine,
         )
         trace = controller.device.trace
     elif args.baseline == "l2-streaming":
@@ -330,7 +335,6 @@ def _run(args) -> int:
             length=args.length,
             stride=args.stride,
             alignment=Alignment(args.alignment),
-            engine=args.engine,
         )
         trace = controller.device.trace
     elif not need_trace and not need_obs:

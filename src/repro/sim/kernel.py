@@ -171,7 +171,8 @@ class SimClock:
     cycle; in dense mode it advances one cycle at a time (slower but
     trivially correct — the property tests assert both modes agree).
     Either way the clock is strictly monotonic: a visited cycle is
-    never revisited.
+    never revisited.  :meth:`Simulation.run` inlines :meth:`advance`
+    in its hot loop and writes the final cycle back to :attr:`cycle`.
     """
 
     __slots__ = ("cycle", "dense")
@@ -249,7 +250,7 @@ class Simulation:
                 )
             )
         # Per-cycle hot path: precompute which components count as
-        # forward progress so _next_cycle avoids getattr each visit.
+        # forward progress so run() avoids getattr each visit.
         self._progress_pairs: List[Tuple[Component, bool]] = [
             (component, bool(getattr(component, "breaks_deadlock", True)))
             for component in self.components
@@ -262,6 +263,11 @@ class Simulation:
     def run(self) -> int:
         """Drive the loop to completion.
 
+        The next-cycle search and the clock advance are inlined over
+        local bindings (this loop is the hot path for every controller
+        except the batch SMC engine); ``clock.cycle`` is written back
+        when the loop exits.
+
         Returns:
             The final visited cycle (the cycle at which the
             termination predicate first held).
@@ -272,35 +278,61 @@ class Simulation:
             action).
         """
         scheduler = self.scheduler
-        clock = self.clock
+        post = scheduler.post
+        heap = scheduler._heap
         components = self.components
+        progress_pairs = self._progress_pairs
         deliver = self._deliver
         done = self._done
         obs = self.obs
         max_cycles = self.max_cycles
-        heap = scheduler._heap
-        cycle = clock.cycle
-        while True:
-            if obs is not None:
-                obs.now = cycle
-            if deliver is not None and heap and heap[0][0] <= cycle:
-                for event in scheduler.pop_due(cycle):
-                    deliver(event)
-            for component in components:
-                for event in component.tick(cycle):
-                    scheduler.post(event)
-            if done(self):
-                break
-            # Computed in dense mode too: the deadlock check must fire
-            # regardless of how the clock advances.
-            target = self._next_cycle(cycle)
-            cycle = clock.advance(target)
-            if cycle > max_cycles:
-                raise SchedulingError(
-                    f"simulation exceeded {max_cycles} cycles "
-                    f"({self.label})"
-                )
-        return cycle
+        dense = self.clock.dense
+        cycle = self.clock.cycle
+        try:
+            while True:
+                if obs is not None:
+                    obs.now = cycle
+                if deliver is not None and heap and heap[0][0] <= cycle:
+                    for event in scheduler.pop_due(cycle):
+                        deliver(event)
+                for component in components:
+                    for event in component.tick(cycle):
+                        post(event)
+                if done(self):
+                    return cycle
+                # The next cycle at which any component can change
+                # state.  Computed in dense mode too: the deadlock
+                # check must fire regardless of how the clock advances.
+                best: Optional[int] = heap[0][0] if heap else None
+                passive_best: Optional[int] = None
+                for component, progresses in progress_pairs:
+                    action = component.next_action_cycle
+                    if action is None:
+                        continue
+                    if progresses:
+                        if best is None or action < best:
+                            best = action
+                    elif passive_best is None or action < passive_best:
+                        # A pending action that cannot unblock the
+                        # computation (e.g. a refresh) does not count
+                        # as forward progress, so it cannot mask a
+                        # deadlock.
+                        passive_best = action
+                if best is None:
+                    raise SchedulingError(
+                        "deadlock: every component is blocked and no "
+                        f"data is in flight ({self.label})"
+                    )
+                if passive_best is not None and passive_best < best:
+                    best = passive_best
+                cycle = cycle + 1 if dense or best <= cycle else best
+                if cycle > max_cycles:
+                    raise SchedulingError(
+                        f"simulation exceeded {max_cycles} cycles "
+                        f"({self.label})"
+                    )
+        finally:
+            self.clock.cycle = cycle
 
     def finish(self, end_cycle: int) -> None:
         """Close open observation spans on every component.
@@ -313,32 +345,6 @@ class Simulation:
         for component in self.components:
             if isinstance(component, FinishingComponent):
                 component.finish_observation(end_cycle)
-
-    def _next_cycle(self, cycle: int) -> int:
-        """The next cycle at which any component can change state."""
-        heap = self.scheduler._heap
-        best: Optional[int] = heap[0][0] if heap else None
-        passive_best: Optional[int] = None
-        for component, progresses in self._progress_pairs:
-            action = component.next_action_cycle
-            if action is None:
-                continue
-            if progresses:
-                if best is None or action < best:
-                    best = action
-            elif passive_best is None or action < passive_best:
-                # A pending action that cannot unblock the computation
-                # (e.g. a refresh) does not count as forward progress,
-                # so it cannot mask a deadlock.
-                passive_best = action
-        if best is None:
-            raise SchedulingError(
-                "deadlock: every component is blocked and no data is "
-                f"in flight ({self.label})"
-            )
-        if passive_best is not None and passive_best < best:
-            best = passive_best
-        return best if best > cycle else cycle + 1
 
 
 class BackgroundEngine(Protocol):

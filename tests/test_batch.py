@@ -1,32 +1,26 @@
 """Batch engine: event-vs-batch bit-identity and the engine API.
 
-The batch fast path (:mod:`repro.sim.batch`) promises results
-*bit-identical* to the discrete-event kernel.  These properties mirror
-the dense-vs-skip equivalence contract in ``test_properties.py``: each
-of the five controllers gets its own event-vs-batch property, with and
-without the background refresh engine, plus tests that the redesigned
+The batch fast path (:mod:`repro.sim.batch`) promises SMC results
+*bit-identical* to the discrete-event kernel.  The property mirrors
+the dense-vs-skip equivalence contract in ``test_properties.py``, with
+and without the background refresh engine, plus tests that the
 ``simulate(spec, engine=...)`` API keeps the engine choice out of the
-cache identity.
+cache identity and that engines stay an SMC-only concept.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.cache.controller import CachedNaturalOrderController
-from repro.core.l2stream import L2StreamingController
 from repro.core.smc import build_smc_system
 from repro.cpu.kernels import KERNELS
 from repro.cpu.streams import Alignment
 from repro.memsys.config import MemorySystemConfig
-from repro.naturalorder.controller import NaturalOrderController
-from repro.naturalorder.random_driver import RandomAccessDriver
 from repro.sim.batch import (
     ENGINES,
     batch_unsupported_reason,
@@ -41,7 +35,6 @@ from repro.sim.runner import (
     default_engine,
     set_default_engine,
     simulate,
-    simulate_kernel,
 )
 
 kernel_names = st.sampled_from(sorted(KERNELS))
@@ -82,90 +75,6 @@ class TestEventBatchEquivalence:
             stride=stride, alignment=alignment, refresh=refresh,
         )
         assert event == batch
-
-    @given(
-        kernel=kernel_names,
-        org=orgs,
-        alignment=alignments,
-        length=st.sampled_from([8, 16, 32]),
-        refresh=st.booleans(),
-    )
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_natural_order_batch_is_exact(
-        self, kernel, org, alignment, length, refresh
-    ):
-        def run(engine):
-            controller = NaturalOrderController(
-                config_for(org), refresh=refresh
-            )
-            return controller.run(
-                KERNELS[kernel], length=length, alignment=alignment,
-                engine=engine,
-            )
-
-        assert run("event") == run("batch")
-
-    @given(
-        kernel=kernel_names,
-        org=orgs,
-        length=st.sampled_from([8, 16, 32]),
-        refresh=st.booleans(),
-    )
-    @settings(max_examples=20, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_cached_natural_order_batch_is_exact(
-        self, kernel, org, length, refresh
-    ):
-        def run(engine):
-            controller = CachedNaturalOrderController(
-                config_for(org), refresh=refresh
-            )
-            return controller.run(KERNELS[kernel], length=length,
-                                  engine=engine)
-
-        assert run("event") == run("batch")
-
-    @given(
-        kernel=kernel_names,
-        org=orgs,
-        length=st.sampled_from([8, 16, 32]),
-        stride=st.sampled_from([1, 2, 4]),
-        window=st.sampled_from([2, 8]),
-        refresh=st.booleans(),
-    )
-    @settings(max_examples=20, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_l2_streaming_batch_is_exact(
-        self, kernel, org, length, stride, window, refresh
-    ):
-        def run(engine):
-            controller = L2StreamingController(
-                config_for(org), prefetch_window=window, refresh=refresh
-            )
-            return controller.run(KERNELS[kernel], length=length,
-                                  stride=stride, engine=engine)
-
-        assert run("event") == run("batch")
-
-    @given(
-        org=orgs,
-        transactions=st.sampled_from([4, 16, 48]),
-        write_fraction=st.sampled_from([0.0, 0.3, 1.0]),
-        seed=st.integers(min_value=1, max_value=64),
-        refresh=st.booleans(),
-    )
-    @settings(max_examples=20, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    def test_random_driver_batch_is_exact(
-        self, org, transactions, write_fraction, seed, refresh
-    ):
-        def run(engine):
-            driver = RandomAccessDriver(config_for(org), refresh=refresh)
-            return driver.run(transactions, write_fraction=write_fraction,
-                              seed=seed, engine=engine)
-
-        assert run("event") == run("batch")
 
 
 class TestEngineSelection:
@@ -261,23 +170,6 @@ class TestSimulateEngineApi:
             set_default_engine(previous)
         assert default_engine() == "auto"
 
-    def test_simulate_kernel_is_deprecated_but_equivalent(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = simulate_kernel("daxpy", "cli", length=64,
-                                     fifo_depth=16)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        # Exactly one warning per call: the alias warns at its own
-        # call site and nothing underneath it warns again.
-        assert len(deprecations) == 1
-        assert "RunSpec" in str(deprecations[0].message)
-        assert legacy == simulate(RunSpec(
-            kernel="daxpy", organization="cli", length=64, fifo_depth=16,
-        ))
-
 
 class TestEngineCli:
     def test_list_engines_flag(self, capsys):
@@ -296,10 +188,17 @@ class TestEngineCli:
         event_out = capsys.readouterr().out
         assert batch_out == event_out
 
-    def test_engine_flag_reaches_baselines(self, capsys):
+    def test_batch_engine_refuses_baseline_cli_run(self, capsys):
         from repro.sim.cli import main
 
-        for engine in ("event", "batch"):
+        for baseline in ("natural-order", "cached", "l2-streaming"):
+            assert main([
+                "copy", "--baseline", baseline, "--length", "64",
+                "--engine", "batch",
+            ]) == 1
+            err = capsys.readouterr().err
+            assert "engine 'batch' is SMC-only" in err
+        for engine in ("event", "auto"):
             assert main([
                 "copy", "--baseline", "l2-streaming", "--length", "64",
                 "--engine", engine,

@@ -100,41 +100,51 @@ class TestSimulation:
 
     def test_skip_visits_only_interesting_cycles(self):
         counter = _Counter(period=5, limit=3)
-        Simulation(
+        simulation = Simulation(
             [counter],
             done=lambda sim: counter.fired >= 3,
             max_cycles=100,
-        ).run()
+        )
+        assert simulation.run() == simulation.clock.cycle == 10
         assert counter.visited == [0, 5, 10]
 
     def test_dense_visits_every_cycle(self):
         counter = _Counter(period=5, limit=3)
-        Simulation(
+        simulation = Simulation(
             [counter],
             done=lambda sim: counter.fired >= 3,
             max_cycles=100,
             dense=True,
-        ).run()
+        )
+        assert simulation.run() == simulation.clock.cycle == 10
         assert counter.visited == list(range(11))
 
     def test_watchdog_raises(self):
         counter = _Counter(period=1, limit=10**9)
-        with pytest.raises(SchedulingError, match="exceeded"):
+        with pytest.raises(SchedulingError) as caught:
             Simulation(
                 [counter],
                 done=lambda sim: False,
                 max_cycles=10,
                 label="unit test",
             ).run()
+        assert str(caught.value) == (
+            "simulation exceeded 10 cycles (unit test)"
+        )
 
     def test_deadlock_detected(self):
         counter = _Counter(limit=1)
-        with pytest.raises(SchedulingError, match="deadlock"):
+        with pytest.raises(SchedulingError) as caught:
             Simulation(
                 [counter],
                 done=lambda sim: False,
                 max_cycles=100,
+                label="unit test",
             ).run()
+        assert str(caught.value) == (
+            "deadlock: every component is blocked and no data is in "
+            "flight (unit test)"
+        )
 
     def test_background_component_cannot_mask_deadlock(self):
         class Engine:
