@@ -97,7 +97,7 @@ def _worker_run(payload: Dict[str, Any]) -> Dict[str, Any]:
     spec = RunSpec.from_dict(payload)
     _maybe_crash(spec)
     started = time.perf_counter()
-    result = _runner.simulate(spec).to_dict()
+    result = _runner.simulate_uncached(spec).to_dict()
     return {
         "result": result,
         "wall_s": time.perf_counter() - started,
@@ -264,7 +264,7 @@ def run_specs(
             for index in sorted(pending):
                 dispatched(index)
                 started = time.perf_counter()
-                result = _runner.simulate(specs[index])
+                result = _runner.simulate_uncached(specs[index])
                 landed(
                     index,
                     result,

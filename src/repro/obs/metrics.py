@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ObservabilityError
@@ -163,16 +164,21 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        index = len(self.bounds)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                index = i
-                break
+        # The first bound >= value; NaN compares false against every
+        # bound, so it lands in the overflow bucket.
+        bounds = self.bounds
+        index = bisect_left(bounds, value) if value == value else len(bounds)
         self.bucket_counts[index] += 1
         self.count += 1
         self.sum += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
+        # Same keep-the-incumbent semantics as min()/max(), NaN included.
+        if self.min is None:
+            self.min = self.max = value
+        else:
+            if value < self.min:
+                self.min = value
+            if value > self.max:  # type: ignore[operator]
+                self.max = value
 
     def quantile(self, q: float) -> float:
         """Estimated value at quantile ``q`` in [0, 1].

@@ -261,9 +261,13 @@ def perform_access(
     """
     manager = memory.page_manager
     runtime = manager is not None and manager.runtime
+    geometry = memory.geometry
+    neighbors = (
+        geometry.neighbors(bank_index) if geometry.doubled_banks else ()
+    )
     if runtime:
         manager.sync(memory, bank_index, now)
-        for neighbor in memory.geometry.neighbors(bank_index):
+        for neighbor in neighbors:
             manager.sync(memory, neighbor, now)
     bank_obj = memory.bank(bank_index)
     page_hit = bank_obj.open_row == row
@@ -275,7 +279,7 @@ def perform_access(
             conflicts += 1
             packet = memory.issue_prer(bank_index, now)
             first_cmd = packet.start
-        for neighbor in memory.geometry.neighbors(bank_index):
+        for neighbor in neighbors:
             # Double-bank cores: an adjacent open bank shares the
             # sense amps and must be precharged first.
             if memory.bank(neighbor).is_open:
@@ -316,26 +320,42 @@ def perform_access(
     )
 
 
-class RdramDevice:
-    """One Direct RDRAM device on a Rambus channel.
+class BankedMemory:
+    """Bus, bank and issue logic shared by a device and a channel.
+
+    :class:`RdramDevice` and :class:`~repro.rdram.channel.RambusChannel`
+    differ only in how their banks are numbered and in whose ROW ACT
+    packets t_RR spaces (the whole device's, or each device's on a
+    channel); subclasses supply that through :meth:`_reset_act`,
+    :meth:`_last_act` and :meth:`_note_act`.  Everything else — the
+    earliest-legal-issue rules, bus and packet bookkeeping, and the
+    observation hooks — lives here once.
+
+    Every ``issue_*`` command looks its bank up once (bounds-checked)
+    and hands the bank object to the shared ``_earliest_*`` rules; the
+    bank's own ``apply_*`` still re-checks legality before any state
+    changes.
 
     Args:
         timing: Datasheet timing parameters.
-        geometry: Bank/page geometry.
-        record_trace: When True (default) every scheduled packet is
-            appended to :attr:`trace` for auditing and timeline
-            rendering.  Disable for long benchmark sweeps.
+        geometry: Bank/page geometry (device or channel).
+        record_trace: When True every scheduled packet is appended to
+            :attr:`trace` for auditing and timeline rendering.
+        explicit_retire: Model write-buffer retires as COL RET packets.
     """
+
+    #: How out-of-range bank errors name the index.
+    _bank_noun = "bank index"
 
     def __init__(
         self,
-        timing: Optional[RdramTiming] = None,
-        geometry: Optional[RdramGeometry] = None,
-        record_trace: bool = True,
-        explicit_retire: bool = False,
+        timing: RdramTiming,
+        geometry,
+        record_trace: bool,
+        explicit_retire: bool,
     ) -> None:
-        self.timing = timing or RdramTiming()
-        self.geometry = geometry or RdramGeometry()
+        self.timing = timing
+        self.geometry = geometry
         self.record_trace = record_trace
         #: When True, the write-buffer retire is modeled as an explicit
         #: COL RET packet occupying the COL bus between the last WR and
@@ -344,7 +364,6 @@ class RdramDevice:
         #: the explicit form additionally consumes a COL-bus slot, as
         #: the real protocol does.
         self.explicit_retire = explicit_retire
-        self._retire_pending = False
         #: Optional instrumentation; attach one to record counters,
         #: bank-row spans, and DATA-bus gap records for stall
         #: attribution.  None (the default) costs one branch per issue.
@@ -358,17 +377,42 @@ class RdramDevice:
         #: :func:`perform_access` so it can re-arrange at epoch
         #: boundaries.  None or a static mapping costs one branch.
         self.mapping = None
+        # Geometry and timing are frozen: hoist what every command
+        # reads out of their properties.
+        self._num_banks = geometry.num_banks
+        self._rows_per_bank = geometry.rows_per_bank
+        self._packets_per_page = geometry.packets_per_page
+        self._doubled_banks = geometry.doubled_banks
+        self._read_delay = timing.read_data_delay()
+        self._write_delay = timing.write_data_delay()
         self.banks: List[Bank] = [
-            Bank(index=i, timing=self.timing) for i in range(self.geometry.num_banks)
+            Bank(index=i, timing=timing) for i in range(self._num_banks)
         ]
         self.trace: List[object] = []
+        self._reset_state()
+
+    def _reset_state(self) -> None:
         self._row_bus_free = 0
         self._col_bus_free = 0
         self._data_bus_free = 0
-        self._last_act_start = NEVER
         self._last_write_data_end = NEVER
         self._last_data_dir: Optional[BusDirection] = None
         self._data_packets_moved = 0
+        self._retire_pending = False
+        self._reset_act()
+
+    # ------------------------------------------------------------------
+    # t_RR bookkeeping (subclass hooks)
+
+    def _reset_act(self) -> None:
+        raise NotImplementedError
+
+    def _last_act(self, bank: int) -> int:
+        """Start of the last ACT that t_RR spaces an ACT to ``bank`` from."""
+        raise NotImplementedError
+
+    def _note_act(self, bank: int, start: int) -> None:
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # queries
@@ -380,9 +424,10 @@ class RdramDevice:
 
     def bank(self, index: int) -> Bank:
         """The bank object at ``index`` (bounds-checked)."""
-        if not 0 <= index < self.geometry.num_banks:
+        if not 0 <= index < self._num_banks:
             raise ProtocolError(
-                f"bank index {index} out of range 0..{self.geometry.num_banks - 1}"
+                f"{self._bank_noun} {index} out of range "
+                f"0..{self._num_banks - 1}"
             )
         return self.banks[index]
 
@@ -395,26 +440,34 @@ class RdramDevice:
         no amount of waiting legalizes it — the controller must
         precharge the neighbor first).
         """
+        return self._earliest_act(bank, self.bank(bank), now)
+
+    def _earliest_act(self, bank: int, bank_obj: Bank, now: int) -> int:
         earliest = max(
-            self.bank(bank).earliest_act(now),
+            bank_obj.earliest_act(now),
             self._row_bus_free,
-            self._last_act_start + self.timing.t_rr,
+            self._last_act(bank) + self.timing.t_rr,
         )
-        for neighbor in self.geometry.neighbors(bank):
-            neighbor_bank = self.banks[neighbor]
-            if neighbor_bank.is_open:
-                raise ProtocolError(
-                    f"bank {bank}: ACT while adjacent bank {neighbor} is "
-                    "open (shared sense amps on a double-bank core)"
+        if self._doubled_banks:
+            for neighbor in self.geometry.neighbors(bank):
+                neighbor_bank = self.banks[neighbor]
+                if neighbor_bank.is_open:
+                    raise ProtocolError(
+                        f"bank {bank}: ACT while adjacent bank {neighbor} "
+                        "is open (shared sense amps on a double-bank core)"
+                    )
+                earliest = max(
+                    earliest,
+                    neighbor_bank.last_prer_start + self.timing.t_rp,
                 )
-            earliest = max(
-                earliest, neighbor_bank.last_prer_start + self.timing.t_rp
-            )
         return earliest
 
     def earliest_prer(self, bank: int, now: int) -> int:
         """First cycle >= now at which PRER to ``bank`` could start."""
-        return max(self.bank(bank).earliest_prer(now), self._row_bus_free)
+        return self._earliest_prer(self.bank(bank), now)
+
+    def _earliest_prer(self, bank_obj: Bank, now: int) -> int:
+        return max(bank_obj.earliest_prer(now), self._row_bus_free)
 
     def earliest_col(
         self, bank: int, row: int, now: int, direction: BusDirection
@@ -426,10 +479,20 @@ class RdramDevice:
         turnaround when ``direction`` is READ after write data.
         """
         delay = (
-            self.timing.read_data_delay()
+            self._read_delay
             if direction is BusDirection.READ
-            else self.timing.write_data_delay()
+            else self._write_delay
         )
+        return self._earliest_col(self.bank(bank), row, now, direction, delay)
+
+    def _earliest_col(
+        self,
+        bank_obj: Bank,
+        row: int,
+        now: int,
+        direction: BusDirection,
+        delay: int,
+    ) -> int:
         col_bus_free = self._col_bus_free
         if (
             direction is BusDirection.READ
@@ -439,7 +502,7 @@ class RdramDevice:
             # A COL RET packet must go out between the last WR and this
             # RD; leave it a COL-bus slot.
             col_bus_free += self.timing.t_pack
-        start = max(self.bank(bank).earliest_col(now, row), col_bus_free)
+        start = max(bank_obj.earliest_col(now, row), col_bus_free)
         data_start = max(start + delay, self._data_bus_free)
         if direction is BusDirection.READ and self._last_data_dir is BusDirection.WRITE:
             data_start = max(
@@ -457,16 +520,17 @@ class RdramDevice:
         Returns:
             The scheduled ROW packet.
         """
-        if not 0 <= row < self.geometry.rows_per_bank:
+        if not 0 <= row < self._rows_per_bank:
             raise ProtocolError(
-                f"row {row} out of range 0..{self.geometry.rows_per_bank - 1}"
+                f"row {row} out of range 0..{self._rows_per_bank - 1}"
             )
-        start = self.earliest_act(bank, now)
+        bank_obj = self.bank(bank)
+        start = self._earliest_act(bank, bank_obj, now)
         if self.obs is not None:
             self.obs.counters.incr("device.row_act")
-        self.bank(bank).apply_act(start, row)
+        bank_obj.apply_act(start, row)
         self._row_bus_free = start + self.timing.t_pack
-        self._last_act_start = start
+        self._note_act(bank, start)
         packet = RowPacket(command=RowCommand.ACT, bank=bank, row=row, start=start)
         if self.record_trace:
             self.trace.append(packet)
@@ -474,11 +538,12 @@ class RdramDevice:
 
     def issue_prer(self, bank: int, now: int) -> RowPacket:
         """Issue a ROW PRER closing ``bank`` at the earliest legal cycle."""
-        start = self.earliest_prer(bank, now)
+        bank_obj = self.bank(bank)
+        start = self._earliest_prer(bank_obj, now)
         if self.obs is not None:
             self.obs.counters.incr("device.row_prer")
-            record_bank_close(self.obs, self.bank(bank), bank, start)
-        self.bank(bank).apply_prer(start)
+            record_bank_close(self.obs, bank_obj, bank, start)
+        bank_obj.apply_prer(start)
         self._row_bus_free = start + self.timing.t_pack
         packet = RowPacket(command=RowCommand.PRER, bank=bank, row=None, start=start)
         if self.record_trace:
@@ -508,63 +573,46 @@ class RdramDevice:
         Returns:
             The scheduled COL and DATA packets.
         """
-        if not 0 <= column < self.geometry.packets_per_page:
+        if not 0 <= column < self._packets_per_page:
             raise ProtocolError(
                 f"column {column} out of range "
-                f"0..{self.geometry.packets_per_page - 1}"
+                f"0..{self._packets_per_page - 1}"
             )
-        start = self.earliest_col(bank, row, now, direction)
         bank_obj = self.bank(bank)
-        if self.obs is not None:
-            self.obs.counters.incr("device.data_packets")
+        reading = direction is BusDirection.READ
+        delay = self._read_delay if reading else self._write_delay
+        start = self._earliest_col(bank_obj, row, now, direction, delay)
+        obs = self.obs
+        if obs is not None:
+            obs.counters.incr("device.data_packets")
             record_data_gap(
-                self.obs,
-                self,
-                bank_obj,
-                bank,
-                row,
-                now,
-                direction,
-                start,
-                (
-                    self.timing.read_data_delay()
-                    if direction is BusDirection.READ
-                    else self.timing.write_data_delay()
-                ),
+                obs, self, bank_obj, bank, row, now, direction, start, delay
             )
-        if (
-            direction is BusDirection.READ
-            and self.explicit_retire
-            and self._retire_pending
-        ):
+        t_pack = self.timing.t_pack
+        if reading and self.explicit_retire and self._retire_pending:
             retire = ColPacket(
                 command=ColCommand.RET,
                 bank=bank,
                 row=row,
                 column=0,
-                start=start - self.timing.t_pack,
+                start=start - t_pack,
             )
             if self.record_trace:
                 self.trace.append(retire)
             self._retire_pending = False
         bank_obj.apply_col(start, row)
-        self._col_bus_free = start + self.timing.t_pack
-        delay = (
-            self.timing.read_data_delay()
-            if direction is BusDirection.READ
-            else self.timing.write_data_delay()
-        )
+        self._col_bus_free = start + t_pack
         data_start = start + delay
         data = DataPacket(
             direction=direction, bank=bank, start=data_start, source_col_start=start
         )
-        self._data_bus_free = data_start + self.timing.t_pack
+        self._data_bus_free = data_start + t_pack
         self._last_data_dir = direction
-        if direction is BusDirection.WRITE:
-            self._last_write_data_end = data_start + self.timing.t_pack
+        if not reading:
+            self._last_write_data_end = data_start + t_pack
             self._retire_pending = True
         self._data_packets_moved += 1
-        cmd = ColCommand.RD if direction is BusDirection.READ else ColCommand.WR
+        cmd = ColCommand.RD if reading else ColCommand.WR
         col = ColPacket(command=cmd, bank=bank, row=row, column=column, start=start)
         if self.record_trace:
             self.trace.append(col)
@@ -574,9 +622,9 @@ class RdramDevice:
             # earliest bank-legal cycle at or after the COL packet, with
             # no ROW-bus occupancy and no t_RR interaction.
             prer_start = bank_obj.earliest_prer(start)
-            if self.obs is not None:
+            if obs is not None:
                 record_bank_close(
-                    self.obs, bank_obj, bank, prer_start, via_col=True
+                    obs, bank_obj, bank, prer_start, via_col=True
                 )
             bank_obj.apply_prer(prer_start)
             if self.record_trace:
@@ -647,17 +695,49 @@ class RdramDevice:
             flush_bank_observation(self.obs, self.banks, end_cycle)
 
     def reset(self) -> None:
-        """Return the device and all banks to the power-on state."""
+        """Return the memory and all banks to the power-on state."""
         for bank in self.banks:
             bank.reset()
         if self.page_manager is not None:
             self.page_manager.reset()
         self.trace.clear()
-        self._row_bus_free = 0
-        self._col_bus_free = 0
-        self._data_bus_free = 0
+        self._reset_state()
+
+
+class RdramDevice(BankedMemory):
+    """One Direct RDRAM device on a Rambus channel.
+
+    t_RR spaces every ROW ACT on the device.  See
+    :class:`BankedMemory` for the shared issue interface.
+
+    Args:
+        timing: Datasheet timing parameters.
+        geometry: Bank/page geometry.
+        record_trace: When True (default) every scheduled packet is
+            appended to :attr:`trace` for auditing and timeline
+            rendering.  Disable for long benchmark sweeps.
+        explicit_retire: Model write-buffer retires as COL RET packets.
+    """
+
+    def __init__(
+        self,
+        timing: Optional[RdramTiming] = None,
+        geometry: Optional[RdramGeometry] = None,
+        record_trace: bool = True,
+        explicit_retire: bool = False,
+    ) -> None:
+        super().__init__(
+            timing or RdramTiming(),
+            geometry or RdramGeometry(),
+            record_trace,
+            explicit_retire,
+        )
+
+    def _reset_act(self) -> None:
         self._last_act_start = NEVER
-        self._last_write_data_end = NEVER
-        self._last_data_dir = None
-        self._data_packets_moved = 0
-        self._retire_pending = False
+
+    def _last_act(self, bank: int) -> int:
+        return self._last_act_start
+
+    def _note_act(self, bank: int, start: int) -> None:
+        self._last_act_start = start

@@ -600,19 +600,45 @@ def simulate(
     Returns:
         The simulation result, including percent-of-peak bandwidth.
     """
+    if engine is not None:
+        # Bad engine names fail before any cache hit could mask them.
+        engine = canonical_engine(engine)
+    if obs is not None:
+        return simulate_uncached(spec, obs=obs, engine=engine)
+    from repro.exec.context import active_cache
+
+    cache = active_cache()
+    if cache is None:
+        return simulate_uncached(spec, engine=engine)
+    hit = cache.get(spec)
+    if hit is not None:
+        return hit
+    result = simulate_uncached(spec, engine=engine)
+    cache.put(spec, result)
+    return result
+
+
+def simulate_uncached(
+    spec: RunSpec,
+    obs: Optional[Instrumentation] = None,
+    engine: Optional[str] = None,
+) -> SimulationResult:
+    """Simulate ``spec`` without consulting or filling any result cache.
+
+    The core of :func:`simulate`, for callers that own the cache
+    lookup themselves: :func:`repro.exec.pool.run_specs` gets each
+    spec once, simulates the misses here (in-process or in a pool
+    worker) and stores each fresh result once.  Arguments and engine
+    selection are exactly :func:`simulate`'s.
+    """
     choice = canonical_engine(engine) if engine is not None else spec.engine
     if choice == "auto":
         choice = _DEFAULT_ENGINE
-    cache = None
-    if obs is None:
-        from repro.exec.context import active_cache
-
-        cache = active_cache()
-        if cache is not None:
-            hit = cache.get(spec)
-            if hit is not None:
-                return hit
-    elif spec.telemetry_window is not None and obs.telemetry_window is None:
+    if (
+        obs is not None
+        and spec.telemetry_window is not None
+        and obs.telemetry_window is None
+    ):
         # The spec carries the sampling request; an explicitly windowed
         # Instrumentation wins over the spec's setting.
         obs.telemetry_window = spec.telemetry_window
@@ -651,7 +677,7 @@ def simulate(
         instrumented=obs is not None,
     )
     if resolved == "batch":
-        result = run_smc_batch(
+        return run_smc_batch(
             kernel_obj,
             config,
             length=spec.length,
@@ -660,19 +686,15 @@ def simulate(
             alignment=Alignment(spec.alignment),
             refresh=spec.refresh,
         )
-    else:
-        system = build_smc_system(
-            kernel_obj,
-            config,
-            length=spec.length,
-            fifo_depth=spec.fifo_depth,
-            stride=spec.stride,
-            alignment=Alignment(spec.alignment),
-            policy=resolve_policy(spec.policy),
-            record_trace=spec.audit,
-            refresh=spec.refresh,
-        )
-        result = run_smc(system, audit=spec.audit, obs=obs)
-    if cache is not None:
-        cache.put(spec, result)
-    return result
+    system = build_smc_system(
+        kernel_obj,
+        config,
+        length=spec.length,
+        fifo_depth=spec.fifo_depth,
+        stride=spec.stride,
+        alignment=Alignment(spec.alignment),
+        policy=resolve_policy(spec.policy),
+        record_trace=spec.audit,
+        refresh=spec.refresh,
+    )
+    return run_smc(system, audit=spec.audit, obs=obs)

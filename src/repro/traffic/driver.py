@@ -35,7 +35,16 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError, ObservabilityError
 from repro.memsys.address import get_address_mapping
@@ -50,6 +59,10 @@ from repro.rdram.timing import DATA_PACKET_BYTES
 from repro.sim.kernel import BackgroundComponent, Simulation
 from repro.traffic.scheduling import Scheduler, make_scheduler
 from repro.traffic.workload import Request, TrafficWorkload, generate_requests
+
+#: Where one DATA packet of a request lives:
+#: ``(global bank, channel-local bank, row, column)``.
+PacketSite = Tuple[int, int, int, int]
 
 #: Latency histogram bucket bounds, in interface-clock cycles.
 LATENCY_BUCKETS = (
@@ -181,6 +194,13 @@ class ChannelServer:
     server's :class:`~repro.traffic.scheduling.Scheduler` (FCFS by
     default — the historical behavior, byte-identical).  Schedulers
     may carry reordering state, so each server owns its own instance.
+
+    Every reader of a request's device location — the issue loop, the
+    schedulers and the regulator — goes through :meth:`locate` or
+    :meth:`line_site`.  For a static mapping each cacheline is
+    decomposed once per run and memoized on the server; a stateful
+    mapping (``mapping.stateful``) is never memoized, because an
+    issued packet may remap the next one.
     """
 
     def __init__(
@@ -229,6 +249,63 @@ class ChannelServer:
         self._refresh_idx = 0
         self._win_bank_bytes: Dict[Tuple[int, int], int] = {}
         self._win_busy: Dict[int, int] = {}
+        # Per-run constants of the issue loop.
+        self._line_bytes = config.cacheline_bytes
+        self._packet_offsets = tuple(
+            range(0, config.cacheline_bytes, DATA_PACKET_BYTES)
+        )
+        page_manager = memory.page_manager
+        self._plans_precharge = (
+            page_manager is not None and page_manager.plans_precharge
+        )
+        self._stateful = mapping.stateful
+        self._sites: Dict[int, Tuple[PacketSite, ...]] = {}
+
+    def _site(self, address: int) -> PacketSite:
+        location = self.mapping.decompose(address)
+        return (
+            location.bank,
+            location.bank - self.bank_offset,
+            location.row,
+            location.column,
+        )
+
+    def locate(self, address: int) -> Iterable[PacketSite]:
+        """The :data:`PacketSite` of each DATA packet of a cacheline.
+
+        Static mappings resolve the line once per run and return the
+        memoized tuple.  A stateful mapping may remap between the
+        line's packets (the device feeds it every issued access), so
+        each packet is decomposed lazily, as the issue loop reaches
+        it — just before that packet is issued.
+        """
+        if self._stateful:
+            return (
+                self._site(address + offset)
+                for offset in self._packet_offsets
+            )
+        return self._memoized_sites(address)
+
+    def _memoized_sites(self, address: int) -> Tuple[PacketSite, ...]:
+        sites = self._sites.get(address)
+        if sites is None:
+            sites = tuple(
+                self._site(address + offset)
+                for offset in self._packet_offsets
+            )
+            self._sites[address] = sites
+        return sites
+
+    def line_site(self, address: int) -> PacketSite:
+        """The site of a cacheline's first packet.
+
+        Its global bank and row are the line's for scheduling and
+        regulation; a stateful mapping decomposes only that packet,
+        under its current arrangement.
+        """
+        if self._stateful:
+            return self._site(address)
+        return self._memoized_sites(address)[0]
 
     def enqueue(self, request: Request) -> None:
         self.queue.append(request)
@@ -237,10 +314,6 @@ class ChannelServer:
     @property
     def idle(self) -> bool:
         return not self.queue
-
-    def _pick(self, cycle: int) -> Optional[Request]:
-        """The request the scheduler serves next (regulator-admitted)."""
-        return self.scheduler.pick(self, cycle)
 
     def _sync_refresh_spans(self) -> None:
         """Pull new refresh spans out of the shared tracer."""
@@ -360,52 +433,53 @@ class ChannelServer:
     def tick(self, cycle: int) -> Tuple[()]:
         if not self.queue or cycle < self._busy_until:
             return ()
-        request = self._pick(cycle)
+        request = self.scheduler.pick(self, cycle)
         if request is None:
             # Every queued client is over budget: sleep to the next
             # window boundary, when budgets reset.
             self._blocked_until = self.regulator.next_window_start(cycle)
             return ()
         self._blocked_until = None
-        line_bytes = self.config.cacheline_bytes
-        packets = self.config.packets_per_cacheline
-        page_manager = self.memory.page_manager
-        plans = page_manager is not None and page_manager.plans_precharge
+        obs = self.obs
+        issue = self.memory.issue_access
+        direction = request.direction
+        plans = self._plans_precharge
+        last = len(self._packet_offsets) - 1
+        window = self.window
+        bank_bytes = self.bank_bytes
         data_end = cycle
         first_bank = None
-        mark = len(self.obs.gaps) if self.obs is not None else 0
+        mark = len(obs.gaps) if obs is not None else 0
         transfer = 0
-        for offset in range(packets):
-            location = self.mapping.decompose(
-                request.address + offset * DATA_PACKET_BYTES
-            )
-            if first_bank is None:
-                first_bank = location.bank
-            outcome = self.memory.issue_access(
-                location.bank - self.bank_offset,
-                location.row,
-                location.column,
+        for offset, (bank, local, row, column) in enumerate(
+            self.locate(request.address)
+        ):
+            if offset == 0:
+                first_bank = bank
+            data = issue(
+                local,
+                row,
+                column,
                 cycle,
-                request.direction,
-                precharge=plans and offset == packets - 1,
-            )
-            data = outcome.access.data
+                direction,
+                precharge=plans and offset == last,
+            ).access.data
             data_end = data.end
-            transfer += data.end - data.start
-            self.busy_cycles += data.end - data.start
-            if self.window:
-                self._note_window(location.bank, data.start, data.end)
-            self.bank_bytes[location.bank] = (
-                self.bank_bytes.get(location.bank, 0) + DATA_PACKET_BYTES
-            )
-        if self.obs is not None:
+            transfer += data_end - data.start
+            if window:
+                self._note_window(bank, data.start, data_end)
+            bank_bytes[bank] = bank_bytes.get(bank, 0) + DATA_PACKET_BYTES
+        self.busy_cycles += transfer
+        latency = data_end - request.arrival
+        if obs is not None:
             comps = dict.fromkeys(COMPONENTS, 0)
             comps["queue_wait"] = cycle - request.arrival
             comps["transfer"] = transfer
             self._sync_refresh_spans()
-            for gap in self.obs.gaps[mark:]:
+            gaps = obs.gaps
+            for index in range(mark, len(gaps)):
+                gap = gaps[index]
                 self._classify_gap(max(gap.start, cycle), gap, comps)
-            latency = data_end - request.arrival
             accounted = sum(comps.values())
             if accounted != latency:
                 raise ObservabilityError(
@@ -422,7 +496,8 @@ class ChannelServer:
         self._busy_until = data_end
         self.last_data_end = max(self.last_data_end, data_end)
         self.completed += 1
-        self.latency.observe(float(data_end - request.arrival))
+        self.latency.observe(float(latency))
+        line_bytes = self._line_bytes
         self.client_bytes[request.client] = (
             self.client_bytes.get(request.client, 0) + line_bytes
         )
@@ -841,6 +916,15 @@ def run_traffic(
                 ),
                 worker="main",
             )
+
+    def served_all(sim: Simulation) -> bool:
+        if not pump.done:
+            return False
+        for server in servers:
+            if not server.idle:
+                return False
+        return True
+
     wall_started = time.perf_counter()
     Simulation(
         [
@@ -848,7 +932,7 @@ def run_traffic(
             *servers,
             *(BackgroundComponent(engine) for engine in refresh_engines),
         ],
-        done=lambda sim: pump.done and all(server.idle for server in servers),
+        done=served_all,
         max_cycles=max_cycles,
         label=(
             f"traffic: {workload.clients} clients over "

@@ -84,7 +84,7 @@ class Scheduler:
         line_bytes = server.config.cacheline_bytes
         for position in positions:
             request = server.queue[position]
-            bank = server.mapping.decompose(request.address).bank
+            bank = server.line_site(request.address)[0]
             if regulator.allows(request.client, bank, line_bytes, cycle):
                 del server.queue[position]
                 return request
@@ -140,7 +140,7 @@ class FcfsScheduler(Scheduler):
             return server.queue.popleft() if server.queue else None
         line_bytes = server.config.cacheline_bytes
         for position, request in enumerate(server.queue):
-            bank = server.mapping.decompose(request.address).bank
+            bank = server.line_site(request.address)[0]
             if server.regulator.allows(
                 request.client, bank, line_bytes, cycle
             ):
@@ -171,10 +171,9 @@ class FrFcfsScheduler(Scheduler):
     def _row_hit(
         self, server: "ChannelServer", request: "Request", cycle: int
     ) -> bool:
-        location = server.mapping.decompose(request.address)
-        local = location.bank - server.bank_offset
+        _, local, row, _ = server.line_site(request.address)
         server.memory.sync_bank(local, cycle)
-        return server.memory.bank(local).open_row == location.row
+        return server.memory.bank(local).open_row == row
 
     def pick(self, server: "ChannelServer", cycle: int) -> Optional["Request"]:
         if not server.queue:
@@ -236,17 +235,13 @@ class MarsScheduler(Scheduler):
                 server, range(len(server.queue)), cycle
             )
             if request is not None:
-                location = server.mapping.decompose(request.address)
-                self._active_batch = (location.bank, location.row)
+                self._active_batch = self._batch_of(server, request)
             return request
         window = min(self.window, len(server.queue))
         batches: dict = {}
         for position in range(window):
-            location = server.mapping.decompose(
-                server.queue[position].address
-            )
             batches.setdefault(
-                (location.bank, location.row), []
+                self._batch_of(server, server.queue[position]), []
             ).append(position)
         if self._active_batch in batches:
             chosen = self._active_batch
@@ -264,6 +259,13 @@ class MarsScheduler(Scheduler):
         ]
         request = self._first_admitted(server, order, cycle)
         if request is not None:
-            location = server.mapping.decompose(request.address)
-            self._active_batch = (location.bank, location.row)
+            self._active_batch = self._batch_of(server, request)
         return request
+
+    @staticmethod
+    def _batch_of(
+        server: "ChannelServer", request: "Request"
+    ) -> Tuple[int, int]:
+        """A request's batch: its line's (global bank, row)."""
+        bank, _, row, _ = server.line_site(request.address)
+        return bank, row

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import random
+import struct
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List, Tuple
@@ -99,9 +100,35 @@ def _zipf_cdf(hot_lines: int, s: float) -> List[float]:
 def _client_hot_set(
     seed: int, client: int, hot_lines: int, total_lines: int
 ) -> Tuple[int, ...]:
-    """A client's private hot set, deterministic per (seed, client)."""
+    """A client's private hot set, deterministic per (seed, client).
+
+    The draws are exactly ``hot_lines`` calls of
+    ``rng.randrange(total_lines)``: for ``k = total_lines.bit_length()
+    <= 32`` each call takes the top ``k`` bits of one 32-bit
+    Mersenne Twister output and rejects values ``>= total_lines``.
+    Those outputs are drawn here in bulk (``getrandbits`` returns
+    consecutive outputs least significant first) and filtered the
+    same way; any surplus outputs are discarded with the private
+    generator.
+    """
     rng = random.Random(seed * 1_000_003 + client * 7_919 + 17)
-    return tuple(rng.randrange(total_lines) for _ in range(hot_lines))
+    if not 1 <= total_lines < 1 << 32:
+        # Wider draws span several outputs; an empty range raises.
+        return tuple(rng.randrange(total_lines) for _ in range(hot_lines))
+    shift = 32 - total_lines.bit_length()
+    # word >> shift < total_lines  <=>  word < total_lines << shift
+    limit = total_lines << shift
+    drawn: List[int] = []
+    while len(drawn) < hot_lines:
+        # At least half of all outputs are accepted; ask for enough
+        # that one batch almost always suffices.
+        count = 2 * (hot_lines - len(drawn)) + 8
+        words = struct.unpack(
+            f"<{count}I",
+            rng.getrandbits(32 * count).to_bytes(4 * count, "little"),
+        )
+        drawn += [word >> shift for word in words if word < limit]
+    return tuple(drawn[:hot_lines])
 
 
 def generate_requests(

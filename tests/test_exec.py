@@ -259,7 +259,62 @@ class TestRunSpecsPooled:
             run_specs(specs, workers=2)
 
 
+class _CountingCache(ResultCache):
+    """Logs every lookup and store to a file, from any process.
+
+    Pool workers run in forked children, whose in-memory counters the
+    parent never sees; the shared log catches their calls too.
+    """
+
+    def __init__(self, root, log, salt=None):
+        super().__init__(root, salt=salt)
+        self.log = log
+
+    def _note(self, op):
+        with open(self.log, "a", encoding="utf-8") as handle:
+            handle.write(op + "\n")
+
+    def get(self, spec):
+        self._note("get")
+        return super().get(spec)
+
+    def put(self, spec, result):
+        self._note("put")
+        return super().put(spec, result)
+
+    def ops(self):
+        if not self.log.exists():
+            return []
+        return self.log.read_text(encoding="utf-8").split()
+
+
 class TestExecutionContext:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_specs_gets_and_puts_each_fresh_spec_once(
+        self, tmp_path, workers
+    ):
+        specs = small_grid()[:4]
+        # One spec is already cached; the other three are fresh.
+        run_specs(specs[:1], cache=ResultCache(tmp_path / "c", salt="v1"))
+        cache = _CountingCache(tmp_path / "c", tmp_path / "ops", salt="v1")
+        with execution(cache=cache):
+            results = run_specs(specs, workers=workers)
+        assert results == run_specs(specs)
+        fresh = len(specs) - 1
+        ops = cache.ops()
+        assert (cache.hits, cache.misses) == (1, fresh)
+        assert ops.count("get") == len(specs)
+        assert ops.count("put") == cache.misses == fresh
+
+    def test_simulate_alone_still_gets_and_puts(self, tmp_path):
+        cache = _CountingCache(tmp_path / "c", tmp_path / "ops", salt="v1")
+        spec = RunSpec("copy", "pi", length=64, fifo_depth=8)
+        with execution(cache=cache):
+            first = simulate(spec)
+            second = simulate(spec)
+        assert second == first
+        assert cache.ops() == ["get", "put", "get"]
+
     def test_simulate_hits_ambient_cache(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path, salt="v1")
         with execution(cache=cache):

@@ -150,6 +150,63 @@ class TestHistogram:
         h.observe(99.0)
         assert h.p50 == 99.0
 
+    def test_value_equal_to_a_bound_lands_in_that_bucket(self):
+        # Bounds are inclusive upper edges.
+        h = Histogram("h", bounds=(1.0, 2.0, 4.0))
+        for value in (1.0, 2.0, 4.0, 2):
+            h.observe(value)
+        assert h.bucket_counts == [1, 2, 1, 0]
+
+    def test_values_past_the_last_bound_overflow(self):
+        h = Histogram("h", bounds=(1.0, 2.0))
+        for value in (2.0000001, 1e300, float("inf")):
+            h.observe(value)
+        assert h.bucket_counts == [0, 0, 3]
+        h.observe(float("-inf"))
+        assert h.bucket_counts == [1, 0, 3]
+
+    def test_nan_lands_in_overflow(self):
+        h = Histogram("h", bounds=(1.0, 2.0))
+        h.observe(float("nan"))
+        assert h.bucket_counts == [0, 0, 1]
+        assert h.count == 1
+
+    @staticmethod
+    def _reference_observe(state, bounds, value):
+        """The scan-and-min()/max() observe the bisect version replaced."""
+        index = len(bounds)
+        for i, bound in enumerate(bounds):
+            if value <= bound:
+                index = i
+                break
+        state["bucket_counts"][index] += 1
+        state["min"] = value if state["min"] is None else min(state["min"], value)
+        state["max"] = value if state["max"] is None else max(state["max"], value)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0, 1.0, 7.5, -2.0, 7.5, 0.0],
+            [float("nan"), 5.0, -1.0, 9.0],
+            [5.0, float("nan"), -1.0, float("nan"), 9.0],
+            [0.0, -0.0, 4, 4.0, 1e9, float("-inf")],
+            # Ties keep the incumbent: 0.0 stays the min, 4 the max.
+            [0.0, -0.0],
+            [4, 4.0, 1.0],
+        ],
+    )
+    def test_matches_the_scanning_reference(self, values):
+        bounds = (0.0, 1.0, 4.0, 8.0)
+        h = Histogram("h", bounds=bounds)
+        want = {"bucket_counts": [0] * 5, "min": None, "max": None}
+        for value in values:
+            h.observe(value)
+            self._reference_observe(want, bounds, value)
+        assert h.bucket_counts == want["bucket_counts"]
+        # repr() tells NaN, -0.0 and int/float apart, as min()/max() do.
+        assert repr(h.min) == repr(want["min"])
+        assert repr(h.max) == repr(want["max"])
+
 
 # --------------------------------------------------------------- exporters
 

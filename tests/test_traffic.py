@@ -97,6 +97,30 @@ class TestRequestGeneration:
         )
         assert all(r.direction is BusDirection.READ for r in requests)
 
+    @pytest.mark.parametrize(
+        "total_lines",
+        [1, 2, 3, 100, 2**18, 2**18 + 1, 2**32 - 1, 2**32, 2**40],
+    )
+    @pytest.mark.parametrize("hot_lines", [0, 1, 64, 300])
+    def test_hot_set_is_the_randrange_stream(self, total_lines, hot_lines):
+        # The bulk draw must be exactly hot_lines randrange() calls on
+        # the client's private generator, rejections included.
+        import random
+
+        from repro.traffic.workload import _client_hot_set
+
+        for seed, client in ((1, 0), (7, 63)):
+            rng = random.Random(seed * 1_000_003 + client * 7_919 + 17)
+            want = tuple(rng.randrange(total_lines) for _ in range(hot_lines))
+            got = _client_hot_set(seed, client, hot_lines, total_lines)
+            assert got == want
+
+    def test_hot_set_of_an_empty_range_raises(self):
+        from repro.traffic.workload import _client_hot_set
+
+        with pytest.raises(ValueError):
+            _client_hot_set(1, 0, 4, 0)
+
 
 class TestSeededDeterminism:
     def test_identical_latency_histograms(self):
