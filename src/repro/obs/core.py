@@ -32,7 +32,7 @@ All timestamps are interface-clock cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.metrics import MetricsRegistry
@@ -165,8 +165,7 @@ class EventTracer:
         return self.spans == other.spans and self.instants == other.instants
 
 
-@dataclass(frozen=True)
-class DataBusGap:
+class DataBusGap(NamedTuple):
     """One idle interval on the DATA bus, with its constraint bounds.
 
     Recorded by the device model when it schedules a DATA packet that

@@ -30,7 +30,7 @@ and write-buffer retires appear only through t_RW.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.core import DataBusGap, Instrumentation
@@ -111,7 +111,7 @@ class RdramGeometry:
 
 
 def record_data_gap(
-    obs: Instrumentation,
+    gaps: List[DataBusGap],
     memory,
     bank_obj: Bank,
     bank_index: int,
@@ -121,8 +121,8 @@ def record_data_gap(
     col_start: int,
     delay: int,
 ) -> None:
-    """Record a :class:`~repro.obs.core.DataBusGap` for an access whose
-    DATA packet leaves the bus idle before it.
+    """Append a :class:`~repro.obs.core.DataBusGap` to ``gaps`` for an
+    access whose DATA packet leaves the bus idle before it.
 
     Must be called after the access's COL start is computed but before
     any bus/bank state is updated.  ``memory`` is the device or channel
@@ -146,16 +146,16 @@ def record_data_gap(
         and memory._retire_pending
     ):
         col_bus_free += memory.timing.t_pack
-    obs.gaps.append(
+    gaps.append(
         DataBusGap(
-            start=idle_from,
-            end=data_start,
-            bank=bank_index,
-            direction=direction.value,
-            turnaround_until=turnaround_until,
-            bank_until=bank_obj.earliest_col(0, row) + delay,
-            colbus_until=col_bus_free + delay,
-            request_until=now + delay,
+            idle_from,
+            data_start,
+            bank_index,
+            direction.value,
+            turnaround_until,
+            bank_obj.earliest_col(0, row) + delay,
+            col_bus_free + delay,
+            now + delay,
         )
     )
 
@@ -196,8 +196,7 @@ def flush_bank_observation(
             )
 
 
-@dataclass
-class ScheduledAccess:
+class ScheduledAccess(NamedTuple):
     """Result of issuing a column access.
 
     Attributes:
@@ -211,8 +210,7 @@ class ScheduledAccess:
     precharged: bool
 
 
-@dataclass
-class AccessIssue:
+class AccessIssue(NamedTuple):
     """Result of one full stream access through :func:`perform_access`.
 
     Attributes:
@@ -300,24 +298,19 @@ def perform_access(
     )
     if first_cmd is None:
         first_cmd = access.col.start
+    obs = memory.obs
     mapping = getattr(memory, "mapping", None)
     if mapping is not None and mapping.stateful:
         remaps = mapping.observe_access(bank_index, row, now)
-        if remaps and memory.obs is not None:
-            memory.obs.counters.incr("device.remap_events", remaps)
-    if memory.obs is not None:
-        memory.obs.counters.incr(
+        if remaps and obs is not None:
+            obs.counters.incr("device.remap_events", remaps)
+    if obs is not None:
+        obs.counters.incr(
             "device.page_hits" if page_hit else "device.page_misses"
         )
         if conflicts:
-            memory.obs.counters.incr("device.bank_conflicts", conflicts)
-    return AccessIssue(
-        access=access,
-        first_cmd=first_cmd,
-        activated=activated,
-        conflicts=conflicts,
-        page_hit=page_hit,
-    )
+            obs.counters.incr("device.bank_conflicts", conflicts)
+    return AccessIssue(access, first_cmd, activated, conflicts, page_hit)
 
 
 class BankedMemory:
@@ -364,10 +357,12 @@ class BankedMemory:
         #: the explicit form additionally consumes a COL-bus slot, as
         #: the real protocol does.
         self.explicit_retire = explicit_retire
-        #: Optional instrumentation; attach one to record counters,
-        #: bank-row spans, and DATA-bus gap records for stall
-        #: attribution.  None (the default) costs one branch per issue.
-        self.obs: Optional[Instrumentation] = None
+        self._obs: Optional[Instrumentation] = None
+        #: Where :meth:`issue_col` appends DATA-bus gap records, or
+        #: None to record none.  Setting :attr:`obs` points it at the
+        #: instrumentation's ``gaps``; a caller that reads only gaps
+        #: (the traffic driver) sets a bare list instead.
+        self.gaps: Optional[List[DataBusGap]] = None
         #: Optional page-management strategy consulted by
         #: :func:`perform_access`; None behaves like the open policy
         #: (callers decide precharge flags themselves).
@@ -400,6 +395,19 @@ class BankedMemory:
         self._data_packets_moved = 0
         self._retire_pending = False
         self._reset_act()
+
+    @property
+    def obs(self) -> Optional[Instrumentation]:
+        """Optional instrumentation; attach one to record counters,
+        bank-row spans, and DATA-bus gap records for stall attribution.
+        None (the default) costs one branch per issue.  Setting it also
+        points :attr:`gaps` at ``obs.gaps`` (None when detached)."""
+        return self._obs
+
+    @obs.setter
+    def obs(self, obs: Optional[Instrumentation]) -> None:
+        self._obs = obs
+        self.gaps = obs.gaps if obs is not None else None
 
     # ------------------------------------------------------------------
     # t_RR bookkeeping (subclass hooks)
@@ -526,12 +534,12 @@ class BankedMemory:
             )
         bank_obj = self.bank(bank)
         start = self._earliest_act(bank, bank_obj, now)
-        if self.obs is not None:
-            self.obs.counters.incr("device.row_act")
+        if self._obs is not None:
+            self._obs.counters.incr("device.row_act")
         bank_obj.apply_act(start, row)
         self._row_bus_free = start + self.timing.t_pack
         self._note_act(bank, start)
-        packet = RowPacket(command=RowCommand.ACT, bank=bank, row=row, start=start)
+        packet = RowPacket(RowCommand.ACT, bank, row, start)
         if self.record_trace:
             self.trace.append(packet)
         return packet
@@ -540,12 +548,13 @@ class BankedMemory:
         """Issue a ROW PRER closing ``bank`` at the earliest legal cycle."""
         bank_obj = self.bank(bank)
         start = self._earliest_prer(bank_obj, now)
-        if self.obs is not None:
-            self.obs.counters.incr("device.row_prer")
-            record_bank_close(self.obs, bank_obj, bank, start)
+        obs = self._obs
+        if obs is not None:
+            obs.counters.incr("device.row_prer")
+            record_bank_close(obs, bank_obj, bank, start)
         bank_obj.apply_prer(start)
         self._row_bus_free = start + self.timing.t_pack
-        packet = RowPacket(command=RowCommand.PRER, bank=bank, row=None, start=start)
+        packet = RowPacket(RowCommand.PRER, bank, None, start)
         if self.record_trace:
             self.trace.append(packet)
         return packet
@@ -582,30 +591,24 @@ class BankedMemory:
         reading = direction is BusDirection.READ
         delay = self._read_delay if reading else self._write_delay
         start = self._earliest_col(bank_obj, row, now, direction, delay)
-        obs = self.obs
+        obs = self._obs
         if obs is not None:
             obs.counters.incr("device.data_packets")
+        gaps = self.gaps
+        if gaps is not None:
             record_data_gap(
-                obs, self, bank_obj, bank, row, now, direction, start, delay
+                gaps, self, bank_obj, bank, row, now, direction, start, delay
             )
         t_pack = self.timing.t_pack
         if reading and self.explicit_retire and self._retire_pending:
-            retire = ColPacket(
-                command=ColCommand.RET,
-                bank=bank,
-                row=row,
-                column=0,
-                start=start - t_pack,
-            )
+            retire = ColPacket(ColCommand.RET, bank, row, 0, start - t_pack)
             if self.record_trace:
                 self.trace.append(retire)
             self._retire_pending = False
         bank_obj.apply_col(start, row)
         self._col_bus_free = start + t_pack
         data_start = start + delay
-        data = DataPacket(
-            direction=direction, bank=bank, start=data_start, source_col_start=start
-        )
+        data = DataPacket(direction, bank, data_start, start)
         self._data_bus_free = data_start + t_pack
         self._last_data_dir = direction
         if not reading:
@@ -613,7 +616,7 @@ class BankedMemory:
             self._retire_pending = True
         self._data_packets_moved += 1
         cmd = ColCommand.RD if reading else ColCommand.WR
-        col = ColPacket(command=cmd, bank=bank, row=row, column=column, start=start)
+        col = ColPacket(cmd, bank, row, column, start)
         if self.record_trace:
             self.trace.append(col)
             self.trace.append(data)
@@ -629,15 +632,9 @@ class BankedMemory:
             bank_obj.apply_prer(prer_start)
             if self.record_trace:
                 self.trace.append(
-                    RowPacket(
-                        command=RowCommand.PRER,
-                        bank=bank,
-                        row=None,
-                        start=prer_start,
-                        via_col=True,
-                    )
+                    RowPacket(RowCommand.PRER, bank, None, prer_start, True)
                 )
-        return ScheduledAccess(col=col, data=data, precharged=precharge)
+        return ScheduledAccess(col, data, precharge)
 
     def issue_access(
         self,
@@ -674,25 +671,18 @@ class BankedMemory:
         """
         bank_obj = self.bank(bank)
         start = bank_obj.earliest_prer(due)
-        if self.obs is not None:
-            self.obs.counters.incr("device.autoclose")
-            record_bank_close(self.obs, bank_obj, bank, start, via_col=True)
+        obs = self._obs
+        if obs is not None:
+            obs.counters.incr("device.autoclose")
+            record_bank_close(obs, bank_obj, bank, start, via_col=True)
         bank_obj.apply_prer(start)
         if self.record_trace:
-            self.trace.append(
-                RowPacket(
-                    command=RowCommand.PRER,
-                    bank=bank,
-                    row=None,
-                    start=start,
-                    via_col=True,
-                )
-            )
+            self.trace.append(RowPacket(RowCommand.PRER, bank, None, start, True))
 
     def finish_observation(self, end_cycle: int) -> None:
         """Close any still-open "row open" spans at the end of a run."""
-        if self.obs is not None:
-            flush_bank_observation(self.obs, self.banks, end_cycle)
+        if self._obs is not None:
+            flush_bank_observation(self._obs, self.banks, end_cycle)
 
     def reset(self) -> None:
         """Return the memory and all banks to the power-on state."""

@@ -6,13 +6,18 @@ bus (RD / WR packets, plus retires folded into the turnaround model),
 and the 16-bit dual-edge DATA bus.  This module defines the command
 vocabulary and the trace records the device emits, which the protocol
 auditor and the experiment timelines consume.
+
+The records are :class:`typing.NamedTuple` values: immutable, hashable,
+compared by value, and cheap enough to build on every command (the
+device builds them positionally).  Each packet's first field is a
+command or direction from its own enum, so packets of different kinds
+never compare equal.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class RowCommand(enum.Enum):
@@ -48,8 +53,7 @@ class BusDirection(enum.Enum):
     WRITE = "write"
 
 
-@dataclass(frozen=True)
-class RowPacket:
+class RowPacket(NamedTuple):
     """A ROW command packet occupying the row bus for t_PACK cycles.
 
     Attributes:
@@ -74,8 +78,7 @@ class RowPacket:
         return self.start + 4
 
 
-@dataclass(frozen=True)
-class ColPacket:
+class ColPacket(NamedTuple):
     """A COL command packet occupying the col bus for t_PACK cycles.
 
     Attributes:
@@ -97,8 +100,7 @@ class ColPacket:
         return self.start + 4
 
 
-@dataclass(frozen=True)
-class DataPacket:
+class DataPacket(NamedTuple):
     """A 16-byte DATA packet occupying the data bus for t_PACK cycles.
 
     Attributes:

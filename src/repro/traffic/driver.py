@@ -21,13 +21,14 @@ to the next window, bounding the bank share any one client can take.
 
 Every request's latency is additionally *attributed*: the per-request
 analogue of the seven-bucket DATA-bus stall attribution
-(:mod:`repro.obs.attribution`).  Each channel memory carries an
-:class:`~repro.obs.core.Instrumentation` whose
+(:mod:`repro.obs.attribution`).  Each channel memory records its
 :class:`~repro.obs.core.DataBusGap` records — the same single source
-of truth the closed-loop attribution partitions — are classified per
-request into :data:`COMPONENTS`, and the components sum *exactly* to
-the measured latency (an :class:`~repro.errors.ObservabilityError`
-otherwise, so the accounting can never silently drift).
+of truth the closed-loop attribution partitions — into a bare list
+(no counters or bank spans: nothing reads them here); each request's
+gaps are classified into :data:`COMPONENTS` and then dropped, and the
+components sum *exactly* to the measured latency (an
+:class:`~repro.errors.ObservabilityError` otherwise, so the accounting
+can never silently drift).
 """
 
 from __future__ import annotations
@@ -125,9 +126,14 @@ class BankBudgetRegulator:
             raise ConfigurationError("budget_bytes must be positive")
         self.window_cycles = window_cycles
         self.budget_bytes = budget_bytes
+        self._spent: Dict[Tuple[int, int], int] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every charge and deferral, as at the start of a run."""
         self.deferrals = 0
         self._window = 0
-        self._spent: Dict[Tuple[int, int], int] = {}
+        self._spent.clear()
 
     def _roll(self, cycle: int) -> None:
         window = cycle // self.window_cycles
@@ -201,6 +207,10 @@ class ChannelServer:
     decomposed once per run and memoized on the server; a stateful
     mapping (``mapping.stateful``) is never memoized, because an
     issued packet may remap the next one.
+
+    When the memory records DATA-bus gaps (``memory.gaps`` is a list),
+    each served request's latency is attributed from the gaps its
+    packets left, and the list is drained after every request.
     """
 
     def __init__(
@@ -212,7 +222,7 @@ class ChannelServer:
         latency: Histogram,
         bank_offset: int,
         regulator: Optional[BankBudgetRegulator] = None,
-        obs: Optional[Instrumentation] = None,
+        refresh_obs: Optional[Instrumentation] = None,
         component_hists: Optional[Mapping[str, Histogram]] = None,
         window: Optional[int] = None,
         scheduler: Optional[Scheduler] = None,
@@ -233,11 +243,11 @@ class ChannelServer:
         self.client_bank_bytes: Dict[Tuple[int, int], int] = {}
         self._busy_until = 0
         self._blocked_until: Optional[int] = None
-        # Latency attribution: the channel memory's instrumentation
-        # (its DataBusGap records are the source of truth), optional
+        # Latency attribution: the channel refresh engine's
+        # instrumentation (its spans bound refresh_blocked), optional
         # shared per-component histograms, and an optional telemetry
         # window for per-(channel, bank) heatmap series.
-        self.obs = obs
+        self.refresh_obs = refresh_obs
         self.component_hists = component_hists
         self.window = window
         self.component_cycles: Dict[str, int] = {
@@ -316,10 +326,10 @@ class ChannelServer:
         return not self.queue
 
     def _sync_refresh_spans(self) -> None:
-        """Pull new refresh spans out of the shared tracer."""
-        if self.obs is None:
+        """Pull new refresh spans out of the refresh engine's tracer."""
+        if self.refresh_obs is None:
             return
-        spans = self.obs.tracer.spans
+        spans = self.refresh_obs.tracer.spans
         while self._span_idx < len(spans):
             span = spans[self._span_idx]
             self._span_idx += 1
@@ -440,7 +450,6 @@ class ChannelServer:
             self._blocked_until = self.regulator.next_window_start(cycle)
             return ()
         self._blocked_until = None
-        obs = self.obs
         issue = self.memory.issue_access
         direction = request.direction
         plans = self._plans_precharge
@@ -449,7 +458,6 @@ class ChannelServer:
         bank_bytes = self.bank_bytes
         data_end = cycle
         first_bank = None
-        mark = len(obs.gaps) if obs is not None else 0
         transfer = 0
         for offset, (bank, local, row, column) in enumerate(
             self.locate(request.address)
@@ -471,15 +479,15 @@ class ChannelServer:
             bank_bytes[bank] = bank_bytes.get(bank, 0) + DATA_PACKET_BYTES
         self.busy_cycles += transfer
         latency = data_end - request.arrival
-        if obs is not None:
+        gaps = self.memory.gaps
+        if gaps is not None:
             comps = dict.fromkeys(COMPONENTS, 0)
             comps["queue_wait"] = cycle - request.arrival
             comps["transfer"] = transfer
             self._sync_refresh_spans()
-            gaps = obs.gaps
-            for index in range(mark, len(gaps)):
-                gap = gaps[index]
+            for gap in gaps:
                 self._classify_gap(max(gap.start, cycle), gap, comps)
+            gaps.clear()
             accounted = sum(comps.values())
             if accounted != latency:
                 raise ObservabilityError(
@@ -802,6 +810,10 @@ def run_traffic(
             f"one cacheline ({config.cacheline_bytes} B); no request could "
             "ever be admitted"
         )
+    if regulator is not None:
+        # A reused regulator must not carry windows, charges or
+        # deferrals over from an earlier run.
+        regulator.reset()
     # Not `registry or ...`: an empty registry is falsy but still the
     # caller's registry, and the metrics must land in it.
     registry = MetricsRegistry() if registry is None else registry
@@ -859,18 +871,23 @@ def run_traffic(
         )
         for name in COMPONENTS
     }
-    # One Instrumentation per channel memory: its DataBusGap records
-    # drive the per-request attribution, and (with refresh enabled)
-    # the refresh engine writes its spans into the same tracer.
-    channel_obs = [Instrumentation() for _ in channel_memories]
-    for channel_memory, obs in zip(channel_memories, channel_obs):
-        channel_memory.obs = obs
+    # Each channel memory records only its DataBusGap records, into a
+    # bare list its server drains request by request: the gaps drive
+    # the per-request attribution, and nothing reads device counters
+    # or bank spans here.  A refresh engine keeps its own
+    # Instrumentation, whose spans bound the refresh_blocked component.
+    for channel_memory in channel_memories:
+        channel_memory.gaps = []
+    refresh_obs: List[Optional[Instrumentation]] = [None] * len(
+        channel_memories
+    )
     refresh_engines: List[RefreshEngine] = []
     if refresh:
         interval = (
             DEFAULT_INTERVAL_CYCLES if refresh is True else int(refresh)
         )
-        for channel_memory, obs in zip(channel_memories, channel_obs):
+        refresh_obs = [Instrumentation() for _ in channel_memories]
+        for channel_memory, obs in zip(channel_memories, refresh_obs):
             engine = RefreshEngine(channel_memory, interval=interval)
             engine.obs = obs
             refresh_engines.append(engine)
@@ -883,7 +900,7 @@ def run_traffic(
             latency=latency,
             bank_offset=index * banks_per_channel,
             regulator=regulator,
-            obs=channel_obs[index],
+            refresh_obs=refresh_obs[index],
             component_hists=component_hists,
             window=telemetry_window,
             scheduler=scheduler_for(index),
