@@ -16,12 +16,12 @@ Quickstart::
                    length=1024, fifo_depth=64)
     print(simulate(spec).percent_of_peak)
 
-``simulate(RunSpec(...))`` is the one front door for SMC runs.  It
-runs on a selectable engine — ``engine="event"`` (the discrete-event
-kernel), ``"batch"`` (a bit-identical vectorized fast path), or
-``"auto"`` (the default: batch whenever the spec supports it).
-Engines apply to SMC runs only: the baseline controllers always run
-on the event kernel.
+``simulate(RunSpec(...))`` is the one front door for SMC runs.  The
+spec's ``engine`` field is the one place an engine is chosen:
+``"event"`` (the discrete-event kernel), ``"batch"`` (a bit-identical
+vectorized fast path), or ``"auto"`` (the default: batch whenever the
+spec supports it).  Engines apply to SMC runs only: the baseline
+controllers always run on the event kernel.
 """
 
 from repro.cache import (
@@ -99,7 +99,6 @@ from repro.rdram import (
     audit_trace,
 )
 from repro.sim import (
-    ENGINES,
     EventScheduler,
     ResultBuilder,
     RunSpec,
@@ -108,12 +107,9 @@ from repro.sim import (
     Sweep,
     TraceMetrics,
     bank_imbalance,
-    default_engine,
-    list_engines,
     measure_trace,
     pivot,
     run_smc,
-    set_default_engine,
     simulate,
     sweep,
 )
@@ -184,7 +180,6 @@ __all__ = [
     "RdramGeometry",
     "RdramTiming",
     "audit_trace",
-    "ENGINES",
     "EventScheduler",
     "ResultBuilder",
     "RunSpec",
@@ -193,12 +188,9 @@ __all__ = [
     "Sweep",
     "TraceMetrics",
     "bank_imbalance",
-    "default_engine",
-    "list_engines",
     "measure_trace",
     "pivot",
     "run_smc",
-    "set_default_engine",
     "simulate",
     "sweep",
     "ResultCache",

@@ -41,7 +41,6 @@ from repro.cpu.streams import Alignment, Direction, StreamDescriptor, place_stre
 from repro.core.fifo import build_access_units
 from repro.core.policies import RoundRobinPolicy, SchedulingPolicy
 from repro.memsys.address import MAPPINGS, get_address_mapping
-from repro.registry import Registry
 from repro.memsys.config import ELEMENT_BYTES, MemorySystemConfig
 from repro.memsys.pagemanager import make_page_manager
 from repro.rdram.bank import NEVER
@@ -56,45 +55,9 @@ try:  # numpy ships in the test/benchmark environment but is optional.
 except ImportError:  # pragma: no cover - exercised via _scalar_plan tests
     _np = None  # type: ignore[assignment]
 
-#: The engine registry: name -> one-line description, in
-#: documentation order (compares equal to the tuple of its names, so
-#: ``ENGINES == ("event", "batch", "auto")`` keeps holding).
-ENGINES: Registry[str] = Registry(
-    "engine",
-    unknown_template="unknown engine {name!r}; use one of {names}",
-    sort_listing=False,
-)
-ENGINES.add("event", "the discrete-event kernel; supports every configuration")
-ENGINES.add("batch", "vectorized SMC fast path; bit-identical, core configs only")
-ENGINES.add("auto", "batch when the configuration supports it, else event")
-
-#: Back-compat alias: ``ENGINE_DESCRIPTIONS[name]`` is the one-line
-#: description, exactly as the historical plain dict behaved.
-ENGINE_DESCRIPTIONS: Registry[str] = ENGINES
-
 #: MSU idle sentinel, mirrored from :mod:`repro.core.msu` (imported
 #: by value to keep this module free of the object model's hot path).
 _IDLE = 1 << 60
-
-
-def canonical_engine(name: str) -> str:
-    """Validate and normalize an engine name.
-
-    Raises:
-        ConfigurationError: If ``name`` is not a registered engine.
-    """
-    lowered = str(name).lower()
-    if lowered not in ENGINES:
-        raise ENGINES.unknown_error(name)
-    return lowered
-
-
-def list_engines() -> str:
-    """Human-readable engine listing (mirrors ``list_policies``)."""
-    lines = ["simulation engines:"]
-    for engine in ENGINES:
-        lines.append(f"  {engine:12s} {ENGINE_DESCRIPTIONS[engine]}")
-    return "\n".join(lines)
 
 
 def batch_unsupported_reason(
@@ -105,9 +68,10 @@ def batch_unsupported_reason(
     """Why the batch SMC engine cannot run this configuration.
 
     Returns None when the batch engine supports it.  This is the
-    single gate ``engine="auto"`` consults; ``engine="batch"`` raises
-    :class:`~repro.errors.ConfigurationError` with the reason instead
-    of falling back.
+    single gate :func:`repro.sim.runner.simulate_uncached` consults:
+    a spec with ``engine="auto"`` falls back to the event kernel, one
+    with ``engine="batch"`` raises
+    :class:`~repro.errors.ConfigurationError` with the reason.
     """
     if audit:
         return "auditing needs the event engine's packet trace"
@@ -146,34 +110,6 @@ def batch_unsupported_reason(
             "behavior the batch engine does not model"
         )
     return None
-
-
-def resolve_engine(
-    engine: str,
-    config: MemorySystemConfig,
-    policy: Union[str, SchedulingPolicy, None] = None,
-    audit: bool = False,
-    instrumented: bool = False,
-) -> str:
-    """Resolve an engine request to "event" or "batch" for an SMC run.
-
-    ``auto`` silently falls back to the event kernel when the batch
-    engine cannot run the configuration (or when instrumentation is
-    attached); an explicit ``batch`` request raises instead.
-    """
-    choice = canonical_engine(engine)
-    if choice == "event":
-        return "event"
-    reason: Optional[str]
-    if instrumented:
-        reason = "instrumented runs need the event engine"
-    else:
-        reason = batch_unsupported_reason(config, policy=policy, audit=audit)
-    if reason is None:
-        return "batch"
-    if choice == "batch":
-        raise ConfigurationError(f"engine 'batch' cannot run this spec: {reason}")
-    return "event"
 
 
 # ----------------------------------------------------------------------

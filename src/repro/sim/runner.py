@@ -2,10 +2,10 @@
 
 :class:`RunSpec` + :func:`simulate` are the canonical front door: a
 frozen, hashable, JSON-serializable description of one simulation,
-executed on a selectable engine.  The result cache and the
-process-pool sweep backend (:mod:`repro.exec`) are both keyed on
-:meth:`RunSpec.canonical_key`, which deliberately excludes the engine
-choice — both engines are bit-identical, so they share cache entries.
+executed on the engine its ``engine`` field names.  The result cache
+and the process-pool sweep backend (:mod:`repro.exec`) are both keyed
+on :meth:`RunSpec.canonical_key`, which deliberately excludes the
+engine — both engines are bit-identical, so they share cache entries.
 
 Engines (see :mod:`repro.sim.batch`):
 
@@ -40,35 +40,9 @@ from repro.obs.core import Instrumentation
 from repro.rdram.channel import ChannelGeometry
 from repro.rdram.device import RdramGeometry
 from repro.rdram.timing import RdramTiming
-from repro.sim.batch import canonical_engine, resolve_engine, run_smc_batch
+from repro.sim.batch import batch_unsupported_reason, run_smc_batch
 from repro.sim.engine import run_smc
 from repro.sim.results import SimulationResult
-
-#: Ambient engine default used when a spec says "auto"; see
-#: :func:`set_default_engine`.
-_DEFAULT_ENGINE = "auto"
-
-
-def set_default_engine(engine: str) -> str:
-    """Set the process-wide engine used when specs say ``"auto"``.
-
-    CLIs use this to make one ``--engine`` flag govern every run they
-    launch without threading the choice through each call site.
-    Specs with an explicit ``engine="event"``/``"batch"`` are not
-    affected.
-
-    Returns:
-        The previous default (so callers can restore it).
-    """
-    global _DEFAULT_ENGINE
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = canonical_engine(engine)
-    return previous
-
-
-def default_engine() -> str:
-    """The current process-wide ``"auto"`` engine resolution."""
-    return _DEFAULT_ENGINE
 
 #: Named organizations matching the paper's two design points.
 ORGANIZATIONS = {
@@ -286,15 +260,17 @@ class RunSpec:
 
     Note that runtime instrumentation (the ``obs`` argument of
     :func:`simulate`) is deliberately *not* part of the spec: it does
-    not change the simulated outcome, only what is recorded about it.
-    ``telemetry_window`` rides along the same way: it is serialized by
-    :meth:`to_dict` so sweep definitions carry it, but excluded from
-    :meth:`canonical_key` — telemetry never changes the simulated
-    outcome, so a windowed spec shares its cache entry with the plain
-    one.  ``engine`` follows the same rule: the two engines are
-    bit-identical wherever both run, so the choice is serialized (a
-    sweep definition pins its engine across worker processes) but
-    never part of the cache identity.
+    not change the simulated outcome, only what is recorded about it;
+    telemetry is switched on there too, via
+    ``Instrumentation(telemetry_window=...)``.  ``engine`` is
+    serialized by :meth:`to_dict` (so worker processes run the engine
+    the caller chose) but excluded from :meth:`canonical_key`: the two
+    engines are bit-identical wherever both run.  It is the one place
+    an engine is chosen: ``"auto"`` (the default) runs the batch fast path
+    whenever the spec supports it and no instrumentation is attached,
+    ``"event"`` always runs the discrete-event kernel, and ``"batch"``
+    raises :class:`~repro.errors.ConfigurationError` instead of
+    falling back.
     """
 
     kernel: Union[str, Kernel] = "daxpy"
@@ -308,18 +284,17 @@ class RunSpec:
     refresh: bool = False
     interleaving: Optional[Union[str, Interleaving]] = None
     page_policy: Optional[Union[str, PagePolicy]] = None
-    telemetry_window: Optional[int] = None
     engine: str = "auto"
     channels: int = 1
     devices: int = 1
 
     def __post_init__(self) -> None:
-        if self.telemetry_window is not None and self.telemetry_window <= 0:
+        engine = str(self.engine).lower()
+        if engine not in ("auto", "event", "batch"):
             raise ConfigurationError(
-                "telemetry window must be positive, got "
-                f"{self.telemetry_window}"
+                f"unknown engine {self.engine!r}; use one of auto, event, batch"
             )
-        object.__setattr__(self, "engine", canonical_engine(self.engine))
+        object.__setattr__(self, "engine", engine)
         # Validates the channel/device counts exactly as the config
         # layer will; the instance itself is discarded.
         MemoryTopology(
@@ -496,8 +471,6 @@ class RunSpec:
             data["interleaving"] = self.interleaving
         if self.page_policy is not None:
             data["page_policy"] = self.page_policy
-        if self.telemetry_window is not None:
-            data["telemetry_window"] = self.telemetry_window
         if self.engine != "auto":
             data["engine"] = self.engine
         # Default 1x1 topology is omitted so canonical cache keys from
@@ -510,18 +483,27 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        """Rebuild a spec from a :meth:`to_dict` dict."""
-        kernel = data["kernel"]
+        """Rebuild a spec from a :meth:`to_dict` dict.
+
+        Raises:
+            ConfigurationError: If ``data`` holds keys that name no
+                spec field (a misspelled field would otherwise fall
+                back to its default and simulate the wrong point).
+        """
+        fields = [f.name for f in dataclasses.fields(cls)]
+        unknown = sorted(set(data) - set(fields))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown RunSpec field(s) {', '.join(map(repr, unknown))}; "
+                f"fields are {', '.join(fields)}"
+            )
+        rest = dict(data)
+        kernel = rest.pop("kernel")
         if isinstance(kernel, Mapping):
             kernel = _kernel_from_dict(kernel)
-        organization = data["organization"]
+        organization = rest.pop("organization")
         if isinstance(organization, Mapping):
             organization = _config_from_dict(organization)
-        names = {f.name for f in dataclasses.fields(cls)}
-        rest = {
-            k: v for k, v in data.items()
-            if k in names and k not in ("kernel", "organization")
-        }
         return cls(kernel=kernel, organization=organization, **rest)
 
     def canonical_key(self) -> str:
@@ -530,13 +512,10 @@ class RunSpec:
         Two specs describing the same work — however their kernel,
         organization, or policy was originally spelled — produce the
         same key.  This is what the result cache hashes.
-        ``telemetry_window`` and ``engine`` are excluded: sampling
-        never changes the simulated outcome, and the engines are
-        bit-identical, so windowed/batch specs share the plain spec's
-        cache entry.
+        ``engine`` is excluded: the engines are bit-identical, so an
+        event or batch spec shares the plain spec's cache entry.
         """
         data = self.to_dict()
-        data.pop("telemetry_window", None)
         data.pop("engine", None)
         return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
@@ -564,23 +543,21 @@ class RunSpec:
                 f" topo={self.channels}x{self.devices}"
                 if (self.channels, self.devices) != (1, 1) else ""
             )
+            + (" refresh" if self.refresh else "")
+            + (" audit" if self.audit else "")
         )
 
 
 def simulate(
     spec: RunSpec,
     obs: Optional[Instrumentation] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Run the simulation a :class:`RunSpec` describes.
 
     This is the package's single simulation entry point.  The engine
-    is chosen in order of precedence: the ``engine`` argument, then
-    ``spec.engine``, then — when both say ``"auto"`` — the process
-    default (:func:`set_default_engine`).  A final ``"auto"`` picks
-    the batch fast path whenever the spec supports it and no
-    instrumentation is attached, falling back to the event kernel
-    otherwise; requesting ``"batch"`` explicitly raises
+    is ``spec.engine``: ``"auto"`` picks the batch fast path whenever
+    the spec supports it and no instrumentation is attached, falling
+    back to the event kernel otherwise; ``"batch"`` raises
     :class:`~repro.errors.ConfigurationError` instead of falling back.
     Both engines produce bit-identical results.
 
@@ -593,27 +570,23 @@ def simulate(
     Args:
         spec: The full run specification.
         obs: Optional :class:`~repro.obs.core.Instrumentation` to
-            record counters, spans and DATA-bus gaps for this run.
-        engine: Optional ``"event"``/``"batch"``/``"auto"`` override
-            of ``spec.engine`` for this call.
+            record counters, spans, DATA-bus gaps and (when it carries
+            a ``telemetry_window``) windowed telemetry for this run.
 
     Returns:
         The simulation result, including percent-of-peak bandwidth.
     """
-    if engine is not None:
-        # Bad engine names fail before any cache hit could mask them.
-        engine = canonical_engine(engine)
     if obs is not None:
-        return simulate_uncached(spec, obs=obs, engine=engine)
+        return simulate_uncached(spec, obs=obs)
     from repro.exec.context import active_cache
 
     cache = active_cache()
     if cache is None:
-        return simulate_uncached(spec, engine=engine)
+        return simulate_uncached(spec)
     hit = cache.get(spec)
     if hit is not None:
         return hit
-    result = simulate_uncached(spec, engine=engine)
+    result = simulate_uncached(spec)
     cache.put(spec, result)
     return result
 
@@ -621,7 +594,6 @@ def simulate(
 def simulate_uncached(
     spec: RunSpec,
     obs: Optional[Instrumentation] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """Simulate ``spec`` without consulting or filling any result cache.
 
@@ -631,17 +603,6 @@ def simulate_uncached(
     worker) and stores each fresh result once.  Arguments and engine
     selection are exactly :func:`simulate`'s.
     """
-    choice = canonical_engine(engine) if engine is not None else spec.engine
-    if choice == "auto":
-        choice = _DEFAULT_ENGINE
-    if (
-        obs is not None
-        and spec.telemetry_window is not None
-        and obs.telemetry_window is None
-    ):
-        # The spec carries the sampling request; an explicitly windowed
-        # Instrumentation wins over the spec's setting.
-        obs.telemetry_window = spec.telemetry_window
     kernel_obj = (
         get_kernel(spec.kernel) if isinstance(spec.kernel, str) else spec.kernel
     )
@@ -669,23 +630,27 @@ def simulate_uncached(
                 "stall attribution and telemetry assume a single DATA "
                 "bus; run multi-channel specs without instrumentation"
             )
-    resolved = resolve_engine(
-        choice,
-        config,
-        policy=spec.policy,
-        audit=spec.audit,
-        instrumented=obs is not None,
-    )
-    if resolved == "batch":
-        return run_smc_batch(
-            kernel_obj,
-            config,
-            length=spec.length,
-            fifo_depth=spec.fifo_depth,
-            stride=spec.stride,
-            alignment=Alignment(spec.alignment),
-            refresh=spec.refresh,
+    if spec.engine != "event":
+        reason = (
+            "instrumented runs need the event engine" if obs is not None
+            else batch_unsupported_reason(
+                config, policy=spec.policy, audit=spec.audit
+            )
         )
+        if reason is None:
+            return run_smc_batch(
+                kernel_obj,
+                config,
+                length=spec.length,
+                fifo_depth=spec.fifo_depth,
+                stride=spec.stride,
+                alignment=Alignment(spec.alignment),
+                refresh=spec.refresh,
+            )
+        if spec.engine == "batch":
+            raise ConfigurationError(
+                f"engine 'batch' cannot run this spec: {reason}"
+            )
     system = build_smc_system(
         kernel_obj,
         config,

@@ -109,9 +109,21 @@ class TestRunSpec:
         with pytest.raises(ValueError):
             RunSpec(kernel="copy", alignment="diagonal")
 
+    def test_unknown_keys_rejected_by_from_dict(self):
+        # A misspelled field must not silently fall back to its default.
+        with pytest.raises(ConfigurationError, match="'lenght'"):
+            RunSpec.from_dict(
+                {"kernel": "daxpy", "organization": "cli", "lenght": 64}
+            )
+
     def test_describe_mentions_the_point(self):
         label = RunSpec(kernel="copy", fifo_depth=8, policy="bank-aware").describe()
         assert "copy" in label and "f=8" in label and "bank-aware" in label
+        assert "refresh" not in label and "audit" not in label
+        # Refresh/audit ablation points must get distinct labels.
+        plain = RunSpec(kernel="copy").describe()
+        assert RunSpec(kernel="copy", refresh=True).describe() == plain + " refresh"
+        assert RunSpec(kernel="copy", audit=True).describe() == plain + " audit"
 
 
 class TestResultSerialization:
@@ -257,6 +269,34 @@ class TestRunSpecsPooled:
         specs = [RunSpec(kernel="copy", policy=_Unregistered())]
         with pytest.raises(ConfigurationError, match="not in the POLICIES"):
             run_specs(specs, workers=2)
+
+
+#: The point whose result must not depend on what ran before it.
+RUN_ORDER_PROBE = RunSpec(kernel="daxpy", organization="pi", length=256)
+
+
+class TestRunOrderIndependence:
+    """No module-level state leaks from one run into the next."""
+
+    @pytest.mark.parametrize(
+        "before",
+        [
+            RunSpec(kernel="copy", length=128, fifo_depth=16, engine="event"),
+            RunSpec(kernel="vaxpy", length=128, interleaving="dream",
+                    page_policy="timeout"),
+            RunSpec(kernel="daxpy", organization="pi", length=256,
+                    refresh=True),
+            RunSpec(kernel="copy", length=128, channels=2, devices=2),
+        ],
+        ids=["event-engine", "dream-timeout", "refresh", "topo-2x2"],
+    )
+    def test_probe_is_unaffected_by_the_run_before(self, before):
+        alone = simulate(RUN_ORDER_PROBE).to_dict()
+        simulate(before)
+        assert simulate(RUN_ORDER_PROBE).to_dict() == alone
+        pooled = run_specs([before, RUN_ORDER_PROBE], workers=2)[1]
+        serial = run_specs([RUN_ORDER_PROBE], workers=1)[0]
+        assert pooled.to_dict() == serial.to_dict() == alone
 
 
 class _CountingCache(ResultCache):

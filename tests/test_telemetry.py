@@ -353,8 +353,6 @@ class TestTelemetryReconciliation:
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigurationError):
             Instrumentation(telemetry_window=0)
-        with pytest.raises(ConfigurationError):
-            RunSpec(kernel="copy", telemetry_window=-1)
 
     def test_build_windowed_series_needs_window(self):
         obs = Instrumentation()
@@ -370,12 +368,15 @@ class TestTelemetryNeutrality:
         assert watched.to_dict() == plain.to_dict()
 
     def test_spec_window_shares_cache_key(self):
-        spec = RunSpec(kernel="copy", telemetry_window=64)
+        # The telemetry window lives on Instrumentation only, so a spec
+        # never carries one and no window can split the cache identity.
         bare = RunSpec(kernel="copy")
-        assert spec.canonical_key() == bare.canonical_key()
-        # ... but the window still survives serialization.
-        assert RunSpec.from_dict(spec.to_dict()).telemetry_window == 64
         assert "telemetry_window" not in bare.to_dict()
+        with pytest.raises(ConfigurationError, match="telemetry_window"):
+            RunSpec.from_dict({"kernel": "copy", "organization": "cli",
+                               "telemetry_window": 64})
+        watched = simulate(bare, obs=Instrumentation(telemetry_window=64))
+        assert watched.to_dict() == simulate(bare).to_dict()
 
 
 # -------------------------------------------------------------- sweep stats
