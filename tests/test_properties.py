@@ -8,6 +8,9 @@ the analytic bounds' structural relationships.
 
 from __future__ import annotations
 
+import functools
+
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,9 @@ from repro.naturalorder.controller import NaturalOrderController
 from repro.naturalorder.random_driver import RandomAccessDriver
 from repro.rdram.audit import audit_trace
 from repro.sim.engine import run_smc
+from repro.sim.kernel import Simulation
+from repro.traffic import BankBudgetRegulator, TrafficWorkload, run_traffic
+from repro.traffic import driver as traffic_driver
 
 kernel_names = st.sampled_from(sorted(KERNELS))
 orgs = st.sampled_from(["cli", "pi"])
@@ -286,6 +292,44 @@ class TestKernelSkipEquivalence:
             )
 
         assert run_smc(build()) == run_smc(build(), dense=True)
+
+    @given(
+        channels=st.sampled_from([1, 2, 4]),
+        scheduler=st.sampled_from(["fcfs", "frfcfs", "mars"]),
+        regulated=st.booleans(),
+        refresh=st.booleans(),
+        seed=st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_traffic_skip_is_exact(
+        self, channels, scheduler, regulated, refresh, seed
+    ):
+        workload = TrafficWorkload(clients=8, requests=96, seed=seed)
+
+        def run():
+            return run_traffic(
+                workload=workload,
+                channels=channels,
+                scheduler=scheduler,
+                refresh=refresh,
+                regulator=(
+                    BankBudgetRegulator(window_cycles=256, budget_bytes=64)
+                    if regulated
+                    else None
+                ),
+            ).to_dict()
+
+        skipped = run()
+        # Dense through the wiring's own Simulation: no production knob.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                traffic_driver,
+                "Simulation",
+                functools.partial(Simulation, dense=True),
+            )
+            dense = run()
+        assert skipped == dense
 
 
 class TestNaturalOrderProperties:
