@@ -180,6 +180,28 @@ class Histogram:
             if value > self.max:  # type: ignore[operator]
                 self.max = value
 
+    def observe_counts(self, counts: Mapping[int, int]) -> None:
+        """Record each integer ``value`` ``counts[value]`` times.
+
+        Leaves the same state as that many :meth:`observe` calls in
+        any order: float sums of integers are exact (below 2**53), so
+        the order of the additions cannot change :attr:`sum`.  Callers
+        that tally integer observations (cycle counts) can feed a
+        whole run at once.
+        """
+        bounds = self.bounds
+        bucket_counts = self.bucket_counts
+        for value, times in counts.items():
+            bucket_counts[bisect_left(bounds, value)] += times
+            self.count += times
+            self.sum += value * times
+        if counts:
+            low, high = float(min(counts)), float(max(counts))
+            if self.min is None or low < self.min:
+                self.min = low
+            if self.max is None or high > self.max:
+                self.max = high
+
     def quantile(self, q: float) -> float:
         """Estimated value at quantile ``q`` in [0, 1].
 

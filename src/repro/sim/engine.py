@@ -6,8 +6,11 @@ and hands them to :class:`repro.sim.kernel.Simulation`, which owns the
 cycle loop: at each visited cycle it (1) lands read DATA packets that
 completed into their FIFOs, (2) lets the MSU make a scheduling
 decision, and (3) lets the processor retire one element access.
-Between interesting cycles the kernel skips ahead; components that are
-blocked are re-woken by the state changes that can unblock them.
+Between interesting cycles the kernel skips ahead, and at a visited
+cycle it ticks only the components that are due; blocked components
+are woken by the state changes that can unblock them: a data arrival
+wakes the MSU and the processor, an MSU decision wakes the processor,
+and a retire or a refresh wakes an idle MSU.
 
 The simulation ends when the processor has retired every access, all
 FIFOs have drained, and no data is in flight.  The kernel's watchdog
@@ -18,7 +21,7 @@ run).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.core.msu import ArrivalEvent, IDLE, MemorySchedulingUnit
@@ -35,17 +38,26 @@ from repro.sim.kernel import (
     Component,
     ResultBuilder,
     Simulation,
+    asleep,
 )
 from repro.sim.results import SimulationResult
 
 
-class _WakeFlag:
-    """Arrival/refresh activity that must re-arm an idle MSU."""
+class _Wakes:
+    """The SMC wiring's wakes.
 
-    __slots__ = ("fired",)
+    ``fired`` records arrival/refresh activity that must re-arm an
+    idle MSU at its next tick; ``msu`` and ``cpu`` are the kernel
+    wakers of the two components.  The wakers hold no reference to
+    the simulation or its components, so neither outlives the run.
+    """
+
+    __slots__ = ("fired", "msu", "cpu")
 
     def __init__(self) -> None:
         self.fired = False
+        self.msu: Callable[[], None] = asleep
+        self.cpu: Callable[[], None] = asleep
 
 
 class _MsuComponent:
@@ -53,19 +65,26 @@ class _MsuComponent:
 
     A data arrival or a refresh perturbation earlier in the same cycle
     re-arms an idle MSU (its next access may need to re-activate a
-    bank the refresh closed, or a pop may have freed FIFO space).
+    bank the refresh closed, or a pop may have freed FIFO space).  A
+    decision may free write-FIFO space, so it wakes the processor.
     """
 
-    def __init__(self, system: SmcSystem, wake: _WakeFlag) -> None:
+    def __init__(self, system: SmcSystem, wakes: _Wakes) -> None:
         self.system = system
         self.msu = system.msu
-        self._wake = wake
+        self._wakes = wakes
 
     def tick(self, cycle: int) -> Tuple[ArrivalEvent, ...]:
-        if self._wake.fired:
-            self._wake.fired = False
-            self.msu.wake(cycle)
-        return self.msu.tick(cycle)
+        msu = self.msu
+        wakes = self._wakes
+        if wakes.fired:
+            wakes.fired = False
+            msu.wake(cycle)
+        issued = msu.packets_issued
+        events = msu.tick(cycle)
+        if msu.packets_issued != issued:
+            wakes.cpu()
+        return events
 
     @property
     def next_action_cycle(self) -> Optional[int]:
@@ -103,7 +122,7 @@ class _CpuComponent:
 
     A pop frees read-FIFO space and a push feeds a write FIFO, either
     of which can make an idle MSU's FIFOs serviceable again, so a
-    retire wakes the MSU for the following cycle.
+    retire re-arms an idle MSU for the following cycle and wakes it.
     """
 
     def __init__(
@@ -111,14 +130,19 @@ class _CpuComponent:
         processor: StreamProcessor,
         sbu: StreamBufferUnit,
         msu: MemorySchedulingUnit,
+        wakes: _Wakes,
     ) -> None:
         self.processor = processor
         self.sbu = sbu
         self.msu = msu
+        self._wakes = wakes
 
     def tick(self, cycle: int) -> Tuple[ArrivalEvent, ...]:
-        if self.processor.tick(cycle, self.sbu):
-            self.msu.wake(cycle + 1)
+        msu = self.msu
+        retired = self.processor.tick(cycle, self.sbu)
+        if retired and msu.next_decision >= IDLE:
+            msu.wake(cycle + 1)
+            self._wakes.msu()
         return ()
 
     @property
@@ -168,21 +192,26 @@ def run_smc(
     if max_cycles is None:
         max_cycles = 10_000 + 100 * total_units
 
-    wake = _WakeFlag()
+    wakes = _Wakes()
     components: List[Component] = []
     if system.refresh is not None:
         def _refresh_fired() -> None:
-            wake.fired = True
+            wakes.fired = True
+            wakes.msu()
 
         components.append(
             BackgroundComponent(system.refresh, on_fire=_refresh_fired)
         )
-    components.append(_MsuComponent(system, wake))
-    components.append(_CpuComponent(processor, sbu, msu))
+    msu_component = _MsuComponent(system, wakes)
+    cpu_component = _CpuComponent(processor, sbu, msu, wakes)
+    components.append(msu_component)
+    components.append(cpu_component)
 
     def deliver(event: ArrivalEvent) -> None:
         sbu[event.fifo_index].note_arrival(event.elements)
-        wake.fired = True
+        wakes.fired = True
+        wakes.msu()
+        wakes.cpu()
 
     simulation = Simulation(
         components,
@@ -198,6 +227,8 @@ def run_smc(
         dense=dense,
         obs=obs,
     )
+    wakes.msu = simulation.waker(msu_component)
+    wakes.cpu = simulation.waker(cpu_component)
     simulation.run()
 
     end_cycle = max(msu.last_data_end, (processor.last_retire_cycle or 0))

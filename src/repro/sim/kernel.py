@@ -13,9 +13,14 @@ owns the mechanics they all share:
 * **skip-to-next-interesting-cycle** advancement: every state change
   happens either at a queued event or at a component's declared
   ``next_action_cycle``, so visiting only those cycles is exact,
-* **dense-mode verification**: ``dense=True`` visits every cycle
-  instead; the property tests assert both modes produce identical
-  results, validating each controller's skip contract,
+* **a wake set**: at a visited cycle only the components that are
+  *due* are ticked — their cached ``next_action_cycle`` has arrived,
+  or a peer (or the ``deliver`` callback) called
+  :meth:`Simulation.wake` on them because it changed their state,
+* **dense-mode verification**: ``dense=True`` visits every cycle and
+  ticks every component there instead; the property tests assert
+  both modes produce identical results, validating each controller's
+  skip and wake contracts,
 * **watchdog and deadlock detection**: a run that stops making
   progress raises :class:`~repro.errors.SchedulingError` instead of
   spinning,
@@ -72,6 +77,18 @@ class TimedEvent(Protocol):
 
 E = TypeVar("E", bound=TimedEvent)
 
+#: Cached due cycle of a component with no action of its own pending
+#: (its ``next_action_cycle`` is None).
+_NEVER = 1 << 62
+
+#: Cached due cycle of a woken component: due at any visited cycle.
+_WOKEN = -1
+
+
+def asleep() -> None:
+    """A waker that wakes nothing: a wired component's default until
+    its simulation hands it a real one (:meth:`Simulation.waker`)."""
+
 
 class EventScheduler(Generic[E]):
     """Time-ordered event queue (the kernel's wake/sleep backbone).
@@ -123,9 +140,15 @@ class EventScheduler(Generic[E]):
 class Component(Protocol):
     """What the kernel needs from anything it drives.
 
-    A component is ticked once at every visited cycle, in the order
-    components were wired, and tells the kernel when it next needs to
-    act so the clock can skip straight there.
+    A component is ticked when it is due or woken — at most once per
+    visited cycle, in the order components were wired — and tells the
+    kernel when it next needs to act so the clock can skip straight
+    there.  The kernel reads ``next_action_cycle`` once after each
+    tick and caches it, so a component whose next action can change
+    while it is not ticking (a queue filled, a FIFO drained) must be
+    woken by whatever changed it (:meth:`Simulation.wake`).  Ticking
+    a component when it is not due must change nothing: dense mode
+    ticks every component at every cycle.
     """
 
     def tick(self, cycle: int) -> Iterable[TimedEvent]:
@@ -136,8 +159,8 @@ class Component(Protocol):
     def next_action_cycle(self) -> Optional[int]:
         """Next cycle this component can change state on its own.
 
-        None means the component is blocked (it will be re-visited
-        when a queued event fires) or finished.  A component may also
+        None means the component is blocked (a peer or an event
+        delivery will wake it) or finished.  A component may also
         define a class attribute ``breaks_deadlock = False`` when its
         pending action does not constitute forward progress for the
         computation (the refresh engine: a pending refresh cannot
@@ -194,23 +217,32 @@ class Simulation:
     """One discrete-event run over a set of wired components.
 
     The kernel visits a cycle, delivers due events through the
-    ``deliver`` callback, ticks every component in wiring order
+    ``deliver`` callback, ticks the due components in wiring order
     (posting any events they return), checks the termination
-    predicate, and advances the clock — skipping to the next
-    interesting cycle unless ``dense``.  The watchdog and deadlock
-    detector guard every run; instrumentation, when given, is attached
-    to every component that accepts it and ``obs.now`` tracks the
-    visited cycle.
+    predicate, and advances the clock — skipping to the earliest
+    cached due cycle or pending event unless ``dense``.  The watchdog
+    and deadlock detector guard every run; instrumentation, when
+    given, is attached to every component that accepts it and
+    ``obs.now`` tracks the visited cycle.
+
+    Every component is due at the first visited cycle.  After that a
+    component is due when the ``next_action_cycle`` it reported after
+    its last tick has arrived, or when it was woken
+    (:meth:`wake`, :meth:`waker`).  A woken component later in wiring
+    order than the waker is ticked in the same cycle; one earlier in
+    the order (or woken after its tick) is ticked at the next visited
+    cycle, which is then the following cycle.
 
     Args:
-        components: Ticked in order at every visited cycle.
+        components: Ticked in this order when due.
         done: Termination predicate, checked after all components have
             ticked at a cycle; receives this simulation (for access to
             the scheduler).
         max_cycles: Watchdog limit on the cycle counter.
         deliver: Called with each due event before components tick.
         label: Identifies the run in watchdog/deadlock errors.
-        dense: Visit every cycle instead of skipping.
+        dense: Visit every cycle and tick every component there
+            instead of skipping.
         obs: Optional instrumentation to attach for this run.
     """
 
@@ -249,24 +281,52 @@ class Simulation:
                     pending_events=self.scheduler.__len__,
                 )
             )
-        # Per-cycle hot path: precompute which components count as
-        # forward progress so run() avoids getattr each visit.
-        self._progress_pairs: List[Tuple[Component, bool]] = [
-            (component, bool(getattr(component, "breaks_deadlock", True)))
-            for component in self.components
-        ]
+        # The wake set: each component's cached due cycle.  It holds
+        # only ints, so a waker a component keeps does not tie this
+        # simulation (or its other components) to it.
+        self._due: List[int] = [_WOKEN] * len(self.components)
+        self._slots: Dict[int, int] = {
+            id(component): slot
+            for slot, component in enumerate(self.components)
+        }
         if obs is not None:
             for component in self.components:
                 if isinstance(component, ObservableComponent):
                     component.attach_obs(obs)
 
+    def wake(self, component: Component) -> None:
+        """Make ``component`` due now (see the class docstring).
+
+        Wirings call this when they change a component's state behind
+        its back — a request enqueued, a FIFO filled — so that it is
+        ticked although its cached ``next_action_cycle`` has not
+        arrived.  A wake always forces a tick: a blocked component may
+        only learn that it can act by trying.
+        """
+        self._due[self._slots[id(component)]] = _WOKEN
+
+    def waker(self, component: Component) -> Callable[[], None]:
+        """A callable that wakes ``component`` (see :meth:`wake`).
+
+        The callable holds only the wake set and the component's slot,
+        so a peer may keep it without keeping this simulation, or the
+        woken component, alive after the run.
+        """
+        due = self._due
+        slot = self._slots[id(component)]
+
+        def wake() -> None:
+            due[slot] = _WOKEN
+
+        return wake
+
     def run(self) -> int:
         """Drive the loop to completion.
 
-        The next-cycle search and the clock advance are inlined over
-        local bindings (this loop is the hot path for every controller
-        except the batch SMC engine); ``clock.cycle`` is written back
-        when the loop exits.
+        The due checks, the next-cycle search and the clock advance
+        are inlined over local bindings (this loop is the hot path for
+        every controller except the batch SMC engine); ``clock.cycle``
+        is written back when the loop exits.
 
         Returns:
             The final visited cycle (the cycle at which the
@@ -280,8 +340,18 @@ class Simulation:
         scheduler = self.scheduler
         post = scheduler.post
         heap = scheduler._heap
-        components = self.components
-        progress_pairs = self._progress_pairs
+        due = self._due
+        never = _NEVER
+        wiring = list(enumerate(self.components))
+        # Components whose pending action is not forward progress (a
+        # refresh cannot unblock a stalled computation) are kept out
+        # of the deadlock check.
+        progress = [
+            slot
+            for slot, component in wiring
+            if getattr(component, "breaks_deadlock", True)
+        ]
+        passive = [slot for slot, _ in wiring if slot not in progress]
         deliver = self._deliver
         done = self._done
         obs = self.obs
@@ -295,36 +365,36 @@ class Simulation:
                 if deliver is not None and heap and heap[0][0] <= cycle:
                     for event in scheduler.pop_due(cycle):
                         deliver(event)
-                for component in components:
-                    for event in component.tick(cycle):
-                        post(event)
+                for slot, component in wiring:
+                    if dense or due[slot] <= cycle:
+                        for event in component.tick(cycle):
+                            post(event)
+                        action = component.next_action_cycle
+                        due[slot] = never if action is None else action
                 if done(self):
                     return cycle
                 # The next cycle at which any component can change
-                # state.  Computed in dense mode too: the deadlock
-                # check must fire regardless of how the clock advances.
-                best: Optional[int] = heap[0][0] if heap else None
-                passive_best: Optional[int] = None
-                for component, progresses in progress_pairs:
-                    action = component.next_action_cycle
-                    if action is None:
-                        continue
-                    if progresses:
-                        if best is None or action < best:
-                            best = action
-                    elif passive_best is None or action < passive_best:
-                        # A pending action that cannot unblock the
-                        # computation (e.g. a refresh) does not count
-                        # as forward progress, so it cannot mask a
-                        # deadlock.
-                        passive_best = action
-                if best is None:
+                # state, from the cached due cycles.  Computed in dense
+                # mode too: the deadlock check must fire regardless of
+                # how the clock advances.
+                if passive:
+                    best = (
+                        min([due[slot] for slot in progress])
+                        if progress
+                        else never
+                    )
+                else:
+                    best = min(due) if due else never
+                if heap and heap[0][0] < best:
+                    best = heap[0][0]
+                if best >= never:
                     raise SchedulingError(
                         "deadlock: every component is blocked and no "
                         f"data is in flight ({self.label})"
                     )
-                if passive_best is not None and passive_best < best:
-                    best = passive_best
+                for slot in passive:
+                    if due[slot] < best:
+                        best = due[slot]
                 cycle = cycle + 1 if dense or best <= cycle else best
                 if cycle > max_cycles:
                     raise SchedulingError(

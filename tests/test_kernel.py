@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.errors import SchedulingError
+from repro.obs.core import Instrumentation
 from repro.sim.kernel import (
     BackgroundComponent,
     EventScheduler,
@@ -194,6 +195,189 @@ class TestSimulation:
         assert final == 7  # skipped straight to the event
 
 
+class _Probe:
+    """Records its ticks; acts only at the cycles in ``due``.
+
+    ``on_tick`` (if set) runs inside each tick, so a test can wake a
+    peer from within a component's tick.
+    """
+
+    def __init__(self, name, log, due=()):
+        self.name = name
+        self.log = log
+        self.due = list(due)
+        self.on_tick = None
+
+    def tick(self, cycle):
+        self.log.append((cycle, self.name))
+        while self.due and self.due[0] <= cycle:
+            self.due.pop(0)
+        if self.on_tick is not None:
+            self.on_tick(cycle)
+        return ()
+
+    @property
+    def next_action_cycle(self):
+        return self.due[0] if self.due else None
+
+
+class TestWakeSet:
+    """Only due or woken components are ticked, in wiring order."""
+
+    def test_only_due_components_tick(self):
+        log = []
+        early = _Probe("early", log, due=[3, 9])
+        late = _Probe("late", log, due=[6])
+        obs = Instrumentation()
+        Simulation(
+            [early, late],
+            done=lambda sim: obs.now >= 9,
+            max_cycles=100,
+            obs=obs,
+        ).run()
+        # Both are due at the first visited cycle; after that each
+        # ticks only at its own next_action_cycle.
+        assert log == [
+            (0, "early"), (0, "late"),
+            (3, "early"),
+            (6, "late"),
+            (9, "early"),
+        ]
+
+    def test_dense_ticks_every_component_every_cycle(self):
+        log = []
+        early = _Probe("early", log, due=[2])
+        late = _Probe("late", log, due=[1])
+        obs = Instrumentation()
+        Simulation(
+            [early, late],
+            done=lambda sim: obs.now >= 2,
+            max_cycles=100,
+            dense=True,
+            obs=obs,
+        ).run()
+        assert log == [
+            (cycle, name)
+            for cycle in range(3)
+            for name in ("early", "late")
+        ]
+
+    def test_waking_a_later_component_ticks_it_in_the_same_cycle(self):
+        log = []
+        waker = _Probe("waker", log, due=[5, 10])
+        sleeper = _Probe("sleeper", log)
+        obs = Instrumentation()
+        simulation = Simulation(
+            [waker, sleeper],
+            done=lambda sim: obs.now >= 10,
+            max_cycles=100,
+            obs=obs,
+        )
+        waker.on_tick = lambda cycle: (
+            simulation.wake(sleeper) if cycle == 5 else None
+        )
+        simulation.run()
+        assert log == [
+            (0, "waker"), (0, "sleeper"),
+            (5, "waker"), (5, "sleeper"),
+            (10, "waker"),
+        ]
+
+    def test_waking_an_earlier_component_ticks_it_next_visited_cycle(self):
+        log = []
+        sleeper = _Probe("sleeper", log)
+        waker = _Probe("waker", log, due=[5, 10])
+        obs = Instrumentation()
+        simulation = Simulation(
+            [sleeper, waker],
+            done=lambda sim: obs.now >= 10,
+            max_cycles=100,
+            obs=obs,
+        )
+        wake = simulation.waker(sleeper)
+        waker.on_tick = lambda cycle: wake() if cycle == 5 else None
+        simulation.run()
+        # The woken component makes the following cycle a visit.
+        assert log == [
+            (0, "sleeper"), (0, "waker"),
+            (5, "waker"),
+            (6, "sleeper"),
+            (10, "waker"),
+        ]
+
+    def test_wiring_order_holds_within_a_cycle(self):
+        log = []
+        probes = [_Probe(name, log, due=[4]) for name in "cab"]
+        obs = Instrumentation()
+        simulation = Simulation(
+            probes,
+            done=lambda sim: obs.now >= 4,
+            max_cycles=100,
+            obs=obs,
+        )
+        # Only "c" is due at 4; it wakes "b" then "a", and the ticks
+        # still follow the wiring, not the wakes.
+        probes[1].due = []
+        probes[2].due = []
+
+        def wake_in_reverse(cycle):
+            if cycle == 4:
+                simulation.wake(probes[2])
+                simulation.wake(probes[1])
+
+        probes[0].on_tick = wake_in_reverse
+        simulation.run()
+        assert log[3:] == [(4, "c"), (4, "a"), (4, "b")]
+
+    def test_event_delivery_can_wake(self):
+        log = []
+        producer = _Probe("producer", log, due=[0])
+        consumer = _Probe("consumer", log)
+        simulation = Simulation(
+            [producer, consumer],
+            done=lambda sim: len(log) >= 3,
+            deliver=lambda event: simulation.wake(consumer),
+            max_cycles=100,
+        )
+        producer.on_tick = lambda cycle: (
+            simulation.scheduler.post(Ping(7)) if cycle == 0 else None
+        )
+        assert simulation.run() == 7
+        assert log == [
+            (0, "producer"), (0, "consumer"), (7, "consumer"),
+        ]
+
+    def test_a_blocked_component_is_still_a_deadlock(self):
+        log = []
+        blocked = _Probe("blocked", log, due=[2])
+        with pytest.raises(SchedulingError, match="deadlock"):
+            Simulation(
+                [blocked],
+                done=lambda sim: False,
+                max_cycles=100,
+            ).run()
+        assert log == [(0, "blocked"), (2, "blocked")]
+
+    def test_waker_keeps_no_simulation_alive(self):
+        import gc
+        import weakref
+
+        log = []
+        probe = _Probe("probe", log, due=[1])
+        simulation = Simulation(
+            [probe], done=lambda sim: not probe.due, max_cycles=100
+        )
+        probe.wake = simulation.waker(probe)
+        simulation.run()
+        ref = weakref.ref(simulation)
+        gc.disable()
+        try:
+            del simulation
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestTransactionPump:
     def test_resumes_at_each_start(self):
         issued = []
@@ -205,19 +389,14 @@ class TestTransactionPump:
 
         pump = TransactionPump(steps())
         visited = []
+        obs = Instrumentation()
 
-        class Recorder:
-            def tick(self, cycle):
-                visited.append(cycle)
-                return ()
+        def done(sim):
+            # Checked once per visited cycle, after the ticks.
+            visited.append(obs.now)
+            return pump.done
 
-            next_action_cycle = None
-
-        Simulation(
-            [Recorder(), pump],
-            done=lambda sim: pump.done,
-            max_cycles=100,
-        ).run()
+        Simulation([pump], done=done, max_cycles=100, obs=obs).run()
         assert issued == [0, 4, 4, 20]
         # Same-start transactions issue on consecutive visited cycles.
         assert visited == [0, 4, 5, 20]

@@ -118,6 +118,24 @@ class TestHistogram:
         assert h.min == 1.0
         assert h.max == 3.0
 
+    def test_observe_counts_matches_one_by_one(self):
+        from collections import Counter
+
+        values = [7, 300, 0, 7, 70000, 12, 300, 300, 5, 9000]
+        one_by_one = Histogram("h", bounds=(8.0, 64.0, 512.0, 65536.0))
+        at_once = Histogram("h", bounds=(8.0, 64.0, 512.0, 65536.0))
+        for value in (3, 40):  # earlier observations are kept
+            one_by_one.observe(float(value))
+            at_once.observe(float(value))
+        for value in values:
+            one_by_one.observe(float(value))
+        at_once.observe_counts(Counter(values))
+        at_once.observe_counts({})
+        assert at_once.state() == one_by_one.state()
+        assert at_once == one_by_one
+        assert isinstance(at_once.min, float)
+        assert isinstance(at_once.max, float)
+
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ObservabilityError):
             Histogram("h", bounds=(2.0, 1.0))

@@ -316,6 +316,55 @@ class TestLatencyAttribution:
         assert all(0.0 < u <= 1.0 for u in result.channel_utilization)
 
 
+class TestServerTicks:
+    """The kernel ticks a channel server only when it is due or woken."""
+
+    @pytest.mark.parametrize("channels", [1, 2, 4])
+    def test_at_most_two_ticks_per_request(self, monkeypatch, channels):
+        from repro.traffic import driver
+
+        ticks = []
+        tick = driver.ChannelServer.tick
+
+        def counted(server, cycle):
+            ticks.append(cycle)
+            return tick(server, cycle)
+
+        monkeypatch.setattr(driver.ChannelServer, "tick", counted)
+        workload = TrafficWorkload(
+            clients=64,
+            requests=4096,
+            mean_gap=48.0 / channels,
+            write_fraction=0.25,
+            seed=1,
+        )
+        run_traffic(
+            MemorySystemConfig.pi(),
+            workload,
+            channels=channels,
+            refresh=True,
+        )
+        # Ticking at every visited cycle took 8,260 / 15,212 / 28,160.
+        assert len(ticks) <= 2 * workload.requests
+
+    def test_histograms_hold_every_request(self):
+        registry = MetricsRegistry()
+        result = run_traffic(workload=SMALL, channels=2, registry=registry)
+        latency = registry.histogram(
+            "traffic.latency_cycles", LATENCY_BUCKETS
+        )
+        assert latency.count == result.requests
+        assert sum(latency.bucket_counts) == result.requests
+        assert latency.min <= result.p50_latency <= latency.max
+        for name in COMPONENTS:
+            component = registry.histogram(
+                "traffic.latency_component_cycles",
+                LATENCY_BUCKETS,
+                component=name,
+            )
+            assert component.sum == result.component_cycles[name]
+
+
 class TestTelemetryWindow:
     def test_windowed_series_reconcile(self):
         registry = MetricsRegistry()
